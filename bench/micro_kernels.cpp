@@ -175,7 +175,7 @@ int main(int argc, char** argv) {
   const double row_scalar_ms = timed_min_ms(false, reps, row_once);
 
   // Seed baseline: the per-pair std::hypot AoS loop these row kernels
-  // replaced (the pre-SoA DistanceMatrix/LazyDistanceMatrix fill). The
+  // replaced (the pre-SoA distance-matrix row fill). The
   // honest "what did the rewrite buy end-users" number; the scalar arm
   // above isolates the vectorization share of it (both arms run the
   // identical sqrt(squared_norm) arithmetic, so on hosts whose single

@@ -1,27 +1,28 @@
-// Microbenchmark: uniform-grid vs kd-tree nearest-neighbour and k-NN
-// queries over sensor deployments (the spatial-index design choice called
-// out in DESIGN.md), plus a SoA brute-force baseline through the
-// geom::simd row kernel. Uniform deployments favour the grid; the
-// kd-tree is insensitive to clustering; brute force wins only at tiny n.
+// Microbenchmark: kd-tree nearest-neighbour and k-NN queries over
+// uniform and clustered sensor deployments (the spatial index behind
+// every candidate graph, see DESIGN.md), plus a SoA brute-force baseline
+// through the geom::simd row kernel. The kd-tree is insensitive to
+// clustering; brute force wins only at tiny n.
 //
 //   ./micro_spatial [--n 10000] [--queries 2048] [--k 12]
 //                   [--json PATH] [--metrics-out PATH]
 //
-// The two indexes are also cross-checked on every k-NN query: both must
-// return the identical (index, distance) list — the tie-break contract
-// pinned by tests/geom/soa_test.cpp — so a bench run doubles as an
-// agreement sweep at sizes the unit tests don't reach.
+// Every k-NN query is also cross-checked against the brute-force scan:
+// both must return the identical (index, distance) list — the tie-break
+// contract pinned by tests/geom/soa_test.cpp — so a bench run doubles as
+// an agreement sweep at sizes the unit tests don't reach.
 //
 // scripts/bench_spatial.sh loops n in {1k, 10k, 100k}, merges the JSON
 // outputs into BENCH_spatial.json, and validates the --metrics-out
 // sidecar (the geom.simd.* counters) with scripts/validate_metrics.py.
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "geom/grid_index.hpp"
 #include "geom/kdtree.hpp"
 #include "geom/simd.hpp"
 #include "geom/soa.hpp"
@@ -33,8 +34,6 @@
 namespace {
 
 using mwc::Rng;
-using mwc::geom::BBox;
-using mwc::geom::GridIndex;
 using mwc::geom::KdTree;
 using mwc::geom::Point;
 
@@ -88,43 +87,26 @@ int main(int argc, char** argv) {
   const auto queries = uniform_points(num_queries, 2);
   double checksum = 0.0;  // defeats dead-code elimination
 
-  // Build times (one cold build each; construction is not the hot path).
+  // Build time (one cold build; construction is not the hot path).
   Timer timer;
-  const GridIndex grid(uniform, BBox::of(uniform.begin(), uniform.end()));
-  const double grid_build_ms = timer.elapsed_ms();
-  timer.reset();
   const KdTree kd(uniform);
   const double kd_build_ms = timer.elapsed_ms();
-  const GridIndex grid_clustered(
-      clustered, BBox::of(clustered.begin(), clustered.end()));
   const KdTree kd_clustered(clustered);
 
   // Nearest-neighbour throughput, uniform and clustered deployments.
-  const double grid_nn_us = per_query_us(
-      queries, [&](const Point& q) { checksum += grid.nearest(q); });
   const double kd_nn_us = per_query_us(
       queries, [&](const Point& q) { checksum += kd.nearest(q); });
-  const double grid_nn_clustered_us = per_query_us(
-      queries, [&](const Point& q) { checksum += grid_clustered.nearest(q); });
   const double kd_nn_clustered_us = per_query_us(
       queries, [&](const Point& q) { checksum += kd_clustered.nearest(q); });
 
-  // k-NN throughput; every query doubles as a cross-index agreement
-  // check (identical sorted (index, distance) lists, ties included).
-  std::size_t disagreements = 0;
-  const double grid_knn_us = per_query_us(queries, [&](const Point& q) {
-    checksum += grid.knearest(q, k).back().second;
-  });
+  // k-NN throughput.
   const double kd_knn_us = per_query_us(queries, [&](const Point& q) {
     checksum += kd.knearest(q, k).back().second;
   });
-  for (const Point& q : queries) {
-    if (kd.knearest(q, k) != grid.knearest(q, k)) ++disagreements;
-  }
 
   // Brute-force baseline: one geom::simd squared-distance row over the
   // SoA coordinates per query, then a scalar argmin. Linear in n, but at
-  // small n it beats both indexes' pointer chasing — the crossover is
+  // small n it beats the kd-tree's pointer chasing — the crossover is
   // the design datum this bench exists to record.
   const geom::PointsSoA soa{std::span<const Point>(uniform)};
   std::vector<double> d2(n);
@@ -137,17 +119,32 @@ int main(int argc, char** argv) {
     checksum += static_cast<double>(best);
   });
 
+  // Every k-NN row must equal the brute-force one: sorted by
+  // (distance^2, index) off the same SIMD squared-distance row.
+  std::size_t disagreements = 0;
+  std::vector<std::pair<double, std::size_t>> ranked(n);
+  const std::size_t kk = std::min(k, n);
+  for (const Point& q : queries) {
+    geom::simd::distance2_row(q.x, q.y, soa.xs().data(), soa.ys().data(),
+                              d2.data(), n);
+    for (std::size_t i = 0; i < n; ++i) ranked[i] = {d2[i], i};
+    std::partial_sort(ranked.begin(),
+                      ranked.begin() + static_cast<std::ptrdiff_t>(kk),
+                      ranked.end());
+    std::vector<std::pair<std::size_t, double>> brute(kk);
+    for (std::size_t j = 0; j < kk; ++j)
+      brute[j] = {ranked[j].second, std::sqrt(ranked[j].first)};
+    if (kd.knearest(q, k) != brute) ++disagreements;
+  }
+
   std::printf("micro_spatial: n=%zu queries=%zu k=%zu backend=%s\n", n,
               num_queries, k, geom::simd::backend());
-  std::printf("  build        grid %8.3f ms   kdtree %8.3f ms\n",
-              grid_build_ms, kd_build_ms);
-  std::printf("  nn uniform   grid %8.3f us   kdtree %8.3f us   brute %8.3f us\n",
-              grid_nn_us, kd_nn_us, brute_nn_us);
-  std::printf("  nn clustered grid %8.3f us   kdtree %8.3f us\n",
-              grid_nn_clustered_us, kd_nn_clustered_us);
-  std::printf("  knn (k=%zu)   grid %8.3f us   kdtree %8.3f us   (%zu/%zu "
-              "disagreements)\n",
-              k, grid_knn_us, kd_knn_us, disagreements, num_queries);
+  std::printf("  build        kdtree %8.3f ms\n", kd_build_ms);
+  std::printf("  nn uniform   kdtree %8.3f us   brute %8.3f us\n", kd_nn_us,
+              brute_nn_us);
+  std::printf("  nn clustered kdtree %8.3f us\n", kd_nn_clustered_us);
+  std::printf("  knn (k=%zu)   kdtree %8.3f us   (%zu/%zu disagreements)\n", k,
+              kd_knn_us, disagreements, num_queries);
   std::printf("  (checksum %.3f)\n", checksum);
 
   if (!json_path.empty()) {
@@ -163,21 +160,16 @@ int main(int argc, char** argv) {
                  "  \"queries\": %zu,\n"
                  "  \"k\": %zu,\n"
                  "  \"backend\": \"%s\",\n"
-                 "  \"grid_build_ms\": %.6f,\n"
                  "  \"kd_build_ms\": %.6f,\n"
-                 "  \"grid_nn_us\": %.6f,\n"
                  "  \"kd_nn_us\": %.6f,\n"
                  "  \"brute_nn_us\": %.6f,\n"
-                 "  \"grid_nn_clustered_us\": %.6f,\n"
                  "  \"kd_nn_clustered_us\": %.6f,\n"
-                 "  \"grid_knn_us\": %.6f,\n"
                  "  \"kd_knn_us\": %.6f,\n"
                  "  \"knn_disagreements\": %zu\n"
                  "}\n",
-                 n, num_queries, k, geom::simd::backend(), grid_build_ms,
-                 kd_build_ms, grid_nn_us, kd_nn_us, brute_nn_us,
-                 grid_nn_clustered_us, kd_nn_clustered_us, grid_knn_us,
-                 kd_knn_us, disagreements);
+                 n, num_queries, k, geom::simd::backend(), kd_build_ms,
+                 kd_nn_us, brute_nn_us, kd_nn_clustered_us, kd_knn_us,
+                 disagreements);
     std::fclose(f);
     std::printf("wrote %s\n", json_path.c_str());
   }
@@ -191,8 +183,8 @@ int main(int argc, char** argv) {
   }
   if (disagreements != 0) {
     std::fprintf(stderr,
-                 "FAIL: kd-tree and grid k-NN lists disagree on %zu/%zu "
-                 "queries\n",
+                 "FAIL: kd-tree and brute-force k-NN lists disagree on "
+                 "%zu/%zu queries\n",
                  disagreements, num_queries);
     return 1;
   }

@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
-# Records the spatial-index design datum (DESIGN.md): uniform-grid vs
-# kd-tree nearest-neighbour and k-NN query times, plus the SoA
-# brute-force baseline, at n in {1k, 10k, 100k}. Merges the per-size
-# JSON outputs of bench/micro_spatial into BENCH_spatial.json and
-# validates the --metrics-out sidecar (geom.simd.* counters) with
-# scripts/validate_metrics.py. micro_spatial itself exits nonzero if
-# the two indexes ever disagree on a k-NN list, so a passing run also
-# re-pins the cross-index tie-break contract at bench scale.
+# Records the spatial-index design datum (DESIGN.md): kd-tree
+# nearest-neighbour and k-NN query times on uniform and clustered
+# deployments, plus the SoA brute-force baseline, at n in {1k, 10k,
+# 100k}. Merges the per-size JSON outputs of bench/micro_spatial into
+# BENCH_spatial.json and validates the --metrics-out sidecar (geom.simd.*
+# counters) with scripts/validate_metrics.py. micro_spatial itself exits
+# nonzero if the kd-tree ever disagrees with the brute-force scan on a
+# k-NN list, so a passing run also re-pins the tie-break contract at
+# bench scale.
 #
 # Usage: scripts/bench_spatial.sh [output.json] [queries]
 set -euo pipefail
@@ -39,14 +40,15 @@ merged = {
     "note": "per-query microseconds; brute = one geom::simd "
             "squared-distance row over the SoA coordinates plus a "
             "scalar argmin (linear in n, index-free). Every k-NN "
-            "query is cross-checked kd-tree vs grid for identical "
-            "(index, distance) lists including ties.",
+            "query is cross-checked kd-tree vs brute force for "
+            "identical (index, distance) lists including ties.",
 }
 json.dump(merged, open(out, "w"), indent=2)
 open(out, "a").write("\n")
 for p in points:
-    print(f"n={p['n']:>6}: nn grid {p['grid_nn_us']:7.3f}us "
-          f"kd {p['kd_nn_us']:7.3f}us brute {p['brute_nn_us']:9.3f}us; "
-          f"knn grid {p['grid_knn_us']:7.3f}us kd {p['kd_knn_us']:7.3f}us")
+    print(f"n={p['n']:>6}: nn kd {p['kd_nn_us']:7.3f}us "
+          f"brute {p['brute_nn_us']:9.3f}us "
+          f"clustered kd {p['kd_nn_clustered_us']:7.3f}us; "
+          f"knn kd {p['kd_knn_us']:7.3f}us")
 print(f"wrote {out}")
 EOF

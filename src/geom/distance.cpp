@@ -8,29 +8,6 @@
 
 namespace mwc::geom {
 
-DistanceMatrix::DistanceMatrix(std::span<const Point> points)
-    : n_(points.size()), d_(points.size() * points.size(), 0.0) {
-  // Full-row SIMD fills instead of the seed's mirrored upper triangle:
-  // each pair is evaluated twice, but with unit-stride vector kernels
-  // that is still much faster, and symmetry is exact anyway
-  // ((xi-xj)^2 == (xj-xi)^2 bit-for-bit).
-  const PointsSoA soa(points);
-  for (std::size_t i = 0; i < n_; ++i) {
-    double* row = d_.data() + i * n_;
-    simd::distance_row(soa.x(i), soa.y(i), soa.xs().data(), soa.ys().data(),
-                       row, n_);
-    row[i] = 0.0;
-  }
-}
-
-bool DistanceMatrix::satisfies_triangle_inequality(double tol) const {
-  for (std::size_t i = 0; i < n_; ++i)
-    for (std::size_t j = 0; j < n_; ++j)
-      for (std::size_t k = 0; k < n_; ++k)
-        if ((*this)(i, j) > (*this)(i, k) + (*this)(k, j) + tol) return false;
-  return true;
-}
-
 LazyDistanceMatrix::LazyDistanceMatrix(std::vector<Point> points)
     : pts_(std::move(points)),
       soa_(std::span<const Point>(pts_)),

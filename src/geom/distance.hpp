@@ -1,11 +1,11 @@
-// Dense pairwise distance matrices over point sets. The q-rooted algorithms
-// run Prim's MST on complete metric graphs, so an O(n^2) row-major matrix is
+// Pairwise Euclidean distances over point sets. The q-rooted algorithms
+// run Prim's MST on complete metric graphs, so a row-major n x n matrix is
 // the natural representation: contiguous, cache-friendly, and symmetric.
 //
-// `DistanceMatrix` is the eager form; `LazyDistanceMatrix` materializes one
-// row at a time on first touch (thread-safe), which is what the
-// tsp::DistanceOracle builds on: a network-wide cache only ever pays for
-// the rows its dispatch subsets actually probe.
+// `LazyDistanceMatrix` materializes one row at a time on first touch
+// (thread-safe), which is what the tsp::DistanceOracle builds on: a
+// network-wide cache only ever pays for the rows its dispatch subsets
+// actually probe.
 #pragma once
 
 #include <atomic>
@@ -19,35 +19,6 @@
 #include "geom/soa.hpp"
 
 namespace mwc::geom {
-
-/// Symmetric n x n matrix of Euclidean distances, stored row-major.
-class DistanceMatrix {
- public:
-  DistanceMatrix() = default;
-
-  /// Builds the full matrix from `points` (O(n^2) space and time).
-  explicit DistanceMatrix(std::span<const Point> points);
-
-  std::size_t size() const noexcept { return n_; }
-  bool empty() const noexcept { return n_ == 0; }
-
-  double operator()(std::size_t i, std::size_t j) const noexcept {
-    return d_[i * n_ + j];
-  }
-
-  /// Row i as a contiguous span (used by Prim's inner loop).
-  std::span<const double> row(std::size_t i) const noexcept {
-    return {d_.data() + i * n_, n_};
-  }
-
-  /// Verifies the triangle inequality on all O(n^3) triples; test helper
-  /// for small instances only.
-  bool satisfies_triangle_inequality(double tol = 1e-9) const;
-
- private:
-  std::size_t n_ = 0;
-  std::vector<double> d_;
-};
 
 /// Symmetric n x n Euclidean distance matrix whose rows are computed on
 /// first access. Concurrent readers are safe: each row is guarded by an

@@ -21,12 +21,6 @@ MstResult prim_mst(std::size_t n,
   return prim_mst_with(n, dist, root);
 }
 
-MstResult prim_mst(const mwc::geom::DistanceMatrix& dist, std::size_t root) {
-  return prim_mst_with(
-      dist.size(),
-      [&](std::size_t i, std::size_t j) { return dist(i, j); }, root);
-}
-
 MstResult kruskal_mst(std::size_t n, std::vector<Edge> edges) {
   std::sort(edges.begin(), edges.end(),
             [](const Edge& a, const Edge& b) { return a.w < b.w; });
@@ -45,7 +39,8 @@ MstResult kruskal_mst(std::size_t n, std::vector<Edge> edges) {
 
 std::vector<std::size_t> mst_parents(std::size_t n,
                                      std::span<const Edge> edges,
-                                     std::size_t root) {
+                                     std::size_t root,
+                                     std::vector<std::size_t>* order) {
   MWC_ASSERT(root < n);
   std::vector<std::vector<std::size_t>> adj(n);
   for (const Edge& e : edges) {
@@ -55,9 +50,14 @@ std::vector<std::size_t> mst_parents(std::size_t n,
   std::vector<std::size_t> parent(n, kNone);
   std::vector<std::size_t> stack{root};
   parent[root] = root;
+  if (order != nullptr) {
+    order->clear();
+    order->reserve(n);
+  }
   while (!stack.empty()) {
     const std::size_t u = stack.back();
     stack.pop_back();
+    if (order != nullptr) order->push_back(u);
     for (std::size_t v : adj[u]) {
       if (parent[v] == kNone) {
         parent[v] = u;

@@ -12,7 +12,6 @@
 #include <span>
 #include <vector>
 
-#include "geom/distance.hpp"
 #include "util/assert.hpp"
 
 namespace mwc::graph {
@@ -84,19 +83,18 @@ MstResult prim_mst(std::size_t n,
                    const std::function<double(std::size_t, std::size_t)>& dist,
                    std::size_t root = 0);
 
-/// Prim's algorithm over a precomputed distance matrix (fast path, no
-/// std::function indirection in the inner loop).
-MstResult prim_mst(const mwc::geom::DistanceMatrix& dist,
-                   std::size_t root = 0);
-
 /// Kruskal's algorithm on an explicit edge list over n nodes. Returns the
 /// minimum spanning forest (spanning tree if connected).
 MstResult kruskal_mst(std::size_t n, std::vector<Edge> edges);
 
 /// Parent array (parent[root] == root) of the MST re-rooted at `root`,
 /// computed from its edge list. Helper for decomposing contracted MSTs.
+/// A non-null `order` receives the nodes in the DFS order the walk visits
+/// them: root first, every node after its parent, so per-node labels can
+/// be pushed down from the root in one pass.
 std::vector<std::size_t> mst_parents(std::size_t n,
                                      std::span<const Edge> edges,
-                                     std::size_t root);
+                                     std::size_t root,
+                                     std::vector<std::size_t>* order = nullptr);
 
 }  // namespace mwc::graph

@@ -138,15 +138,13 @@ ReplanOutcome replan_round(const wsn::Network& network, const RoundPlan& base,
   outcome.candidates = tsp::CandidateGraph::repair(
       base_candidates, new_points, remap, options.candidate_options);
 
-  // 2. Dirty-tree selection: trees losing a sensor, trees owning a
-  // touched node or one of its candidate neighbors, and flipped chargers.
+  // 2. Dirty-tree selection: trees losing a sensor, and trees owning a
+  // touched node (a flipped charger touches its own root) or one of its
+  // candidate neighbors. The repair itself re-spans every downed
+  // charger's tree.
   std::vector<std::size_t> base_owner(q + m0, kNpos);
   for (std::size_t l = 0; l < q; ++l)
     for (const std::size_t v : base.forest.trees[l].nodes()) base_owner[v] = l;
-
-  const auto root_active = [&](std::size_t l) {
-    return patch.charger_active.empty() || patch.charger_active[l] != 0;
-  };
 
   std::vector<char> tree_dirty(q, 0);
   for (std::size_t i = 0; i < m0; ++i)
@@ -164,7 +162,6 @@ ReplanOutcome replan_round(const wsn::Network& network, const RoundPlan& base,
   for (const std::size_t t : patch.touched) {
     mark(t);
     for (const std::size_t c : outcome.candidates.neighbors(t)) mark(c);
-    if (t < q && !root_active(t)) tree_dirty[t] = 1;
   }
 
   // 3. Remap the base forest into the new space. Clean trees carry their

@@ -1,5 +1,5 @@
 // Candidate-graph layer for the tour pipeline: the k nearest neighbors of
-// every node, computed once per instance from a spatial index and shared
+// every node, computed once per instance from a geom::KdTree and shared
 // by all policies that plan over the same point set.
 //
 // The classical TSP-literature accelerant (Lin–Kernighan-style candidate
@@ -7,9 +7,10 @@
 // edge joins a node to one of its few nearest neighbors, so local search
 // and Prim's relaxation only need to look at O(k) candidates per node
 // instead of O(n). tsp::two_opt / tsp::or_opt walk these lists with
-// don't-look bits (see improve.hpp) and tsp::q_rooted_msf prunes Prim to
-// candidate + depot edges (see qrooted.hpp); both keep the dense sweep as
-// the golden-reference fallback.
+// don't-look bits (see improve.hpp), and the q-rooted MSF core behind
+// tsp::q_rooted_msf and tsp::repair_q_rooted_msf prunes Prim to candidate
+// + root-star edges (see qrooted.hpp); both keep the dense sweep as the
+// golden-reference fallback.
 //
 // Node indices are whatever space the points span uses — for the q-rooted
 // pipeline that is the combined depot+sensor space of DistanceOracle /
@@ -31,17 +32,6 @@ struct CandidateOptions {
   /// exhaustive sweep at this default); k >= n-1 degenerates to the
   /// complete graph (see CandidateGraph::complete()).
   std::size_t k = 12;
-
-  /// Spatial index used for the k-NN queries. kAuto picks the kd-tree
-  /// (robust on clustered deployments); kGrid is the expected-O(1) choice
-  /// on uniform deployments (bench/micro_spatial quantifies the
-  /// trade-off). Both backends produce the identical neighbor lists —
-  /// sorted by distance, ties on the smaller index.
-  enum class Backend { kAuto, kKdTree, kGrid };
-  Backend backend = Backend::kAuto;
-
-  /// Grid resolution knob, forwarded to geom::GridIndex.
-  double grid_target_per_cell = 2.0;
 };
 
 /// Node-index remapping from a base graph's point space to a patched
@@ -61,8 +51,8 @@ struct CandidateRemap {
 };
 
 /// Immutable k-nearest-neighbor lists over a fixed point set. Build once
-/// per instance (O(n log n) via geom::KdTree, expected O(n·k) via
-/// geom::GridIndex), then neighbors(i) is a zero-cost span lookup. Row i
+/// per instance (O(n log n) via geom::KdTree), then neighbors(i) is a
+/// zero-cost span lookup. Row i
 /// holds min(k, n-1) neighbor indices sorted by ascending distance (ties
 /// by ascending index), never including i itself.
 class CandidateGraph {

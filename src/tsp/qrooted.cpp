@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <queue>
 #include <unordered_set>
 #include <utility>
@@ -42,85 +43,139 @@ bool prunable(const CandidateGraph* candidates, std::size_t view_size) {
          !candidates->complete();
 }
 
-/// Sparse Prim over the contracted aux graph (node 0 = virtual root,
-/// 1..m = sensors) restricted to candidate sensor-sensor edges plus the
-/// root's star. The star edge to every sensor (its nearest-depot
-/// distance) keeps the pruned graph connected, so a spanning tree always
-/// exists; its weight can only exceed the dense MST's when some true MST
-/// edge joins two sensors that are not mutual-or-one-way candidates —
-/// essentially never on Euclidean instances at k ≈ 10 (pinned by tests,
-/// escape-hatched by verify_against_dense).
-graph::MstResult prim_msf_pruned(const DistanceView& distances, std::size_t q,
-                                 const CandidateGraph& cand,
-                                 std::span<const double> root_dist,
-                                 std::uint64_t& probes,
-                                 std::uint64_t& cand_evals) {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-  const std::size_t m = distances.size() - q;
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
-  // Symmetrized candidate adjacency in local sensor space: kNN is not a
-  // symmetric relation, but Prim must be able to relax an edge from
-  // whichever endpoint enters the tree first.
-  std::vector<std::vector<std::size_t>> adj(m);
-  for (std::size_t k = 0; k < m; ++k) {
-    for (const std::size_t c : cand.neighbors(q + k)) {
-      if (c < q) continue;  // depot edges enter via the root star
-      adj[k].push_back(c - q);
-      adj[c - q].push_back(k);
+/// What one run of Algorithm 1 spans. Everything already connected — the
+/// `depots` (ascending), plus the `clean` sensors during a repair —
+/// contracts into the virtual root, aux node 0; aux node k+1 is the
+/// sensor `sensors[k]` (combined id). `clean_owner[v]` is the depot whose
+/// tree holds clean sensor v (indexed by combined id; unused when `clean`
+/// is empty).
+struct Region {
+  std::span<const std::size_t> depots;
+  std::span<const std::size_t> sensors;
+  std::span<const std::size_t> clean;
+  std::span<const std::size_t> clean_owner;
+};
+
+/// The root star of a Region: each sensor's cheapest attachment into the
+/// virtual root and the combined id realizing it (a depot, or the clean
+/// sensor it grafts onto).
+struct RootStar {
+  std::vector<double> dist;
+  std::vector<std::size_t> attach;
+};
+
+/// Scans the root star: depots first, then (repairs only) clean sensors,
+/// each merged with strict < so the first minimum wins. The depot part is
+/// depot-major and cache-blocked — one batched row probe per (depot,
+/// sensor block) — so in oracle mode it materializes the q depot rows
+/// rather than the sensor rows; distances are symmetric bit-for-bit, so
+/// probing (l, s) equals probing (s, l). The clean part probes, per
+/// sensor, its candidate clean neighbours (or every clean sensor when
+/// dense).
+RootStar scan_root_star(const DistanceView& distances, std::size_t q,
+                        const Region& region, const CandidateGraph* pruned,
+                        std::uint64_t& probes, std::uint64_t& cand_evals) {
+  const std::size_t d = region.sensors.size();
+  RootStar star{std::vector<double>(d, kInf),
+                std::vector<std::size_t>(d, kNone)};
+  const auto merge = [&](std::size_t k, double w, std::size_t at) {
+    if (w < star.dist[k]) {
+      star.dist[k] = w;
+      star.attach[k] = at;
+    }
+  };
+
+  constexpr std::size_t kBlock = 4096;
+  std::vector<double> w(std::min(d, kBlock));
+  for (std::size_t k0 = 0; k0 < d; k0 += kBlock) {
+    const std::size_t len = std::min(kBlock, d - k0);
+    const auto block = region.sensors.subspan(k0, len);
+    for (const std::size_t l : region.depots) {
+      distances.distances_to(l, block, w.data());
+      for (std::size_t k = 0; k < len; ++k) merge(k0 + k, w[k], l);
     }
   }
-  for (auto& a : adj) {
-    std::sort(a.begin(), a.end());
-    a.erase(std::unique(a.begin(), a.end()), a.end());
+  probes += static_cast<std::uint64_t>(d) * region.depots.size();
+
+  if (region.clean.empty()) return star;
+  std::vector<std::size_t> picked;
+  for (std::size_t k = 0; k < d; ++k) {
+    const std::size_t s = region.sensors[k];
+    std::span<const std::size_t> targets = region.clean;
+    if (pruned != nullptr) {
+      picked.clear();
+      for (const std::size_t c : pruned->neighbors(s))
+        if (c >= q && region.clean_owner[c] != kNone) picked.push_back(c);
+      targets = picked;
+      cand_evals += picked.size();
+    }
+    if (targets.empty()) continue;
+    w.resize(targets.size());
+    distances.distances_to(s, targets, w.data());
+    probes += targets.size();
+    for (std::size_t t = 0; t < targets.size(); ++t) merge(k, w[t], targets[t]);
   }
+  return star;
+}
 
-  graph::MstResult result;
-  std::vector<double> best(m + 1, kInf);
-  std::vector<std::size_t> best_from(m + 1, kNone);
-  std::vector<char> in_tree(m + 1, 0);
-
-  // Lazy binary heap of (key, aux node); stale entries are skipped on
-  // extraction. Pair ordering breaks key ties on the smaller node index.
+/// Lazy-heap Prim over the aux graph of `sensors`: the root star plus the
+/// explicit sensor-sensor adjacency `adj` (aux-local indices). The star
+/// keeps the graph connected, so a spanning tree always exists. Stale
+/// heap entries are skipped on extraction, and pair ordering breaks key
+/// ties on the smaller node, so on a complete `adj` this extracts exactly
+/// the nodes, in the order, that the dense prim_mst_with does.
+graph::MstResult lazy_prim(const DistanceView& distances,
+                           std::span<const std::size_t> sensors,
+                           const RootStar& star,
+                           const std::vector<std::vector<std::size_t>>& adj,
+                           std::uint64_t& probes, std::uint64_t& cand_evals) {
+  const std::size_t d = sensors.size();
+  graph::MstResult mst;
+  std::vector<double> best(d + 1, kInf);
+  std::vector<std::size_t> best_from(d + 1, kNone);
+  std::vector<char> in_tree(d + 1, 0);
   using Item = std::pair<double, std::size_t>;
   std::priority_queue<Item, std::vector<Item>, std::greater<Item>> heap;
 
   in_tree[0] = 1;
-  for (std::size_t k = 0; k < m; ++k) {
-    best[k + 1] = root_dist[k];
+  for (std::size_t k = 0; k < d; ++k) {
+    best[k + 1] = star.dist[k];
     best_from[k + 1] = 0;
-    heap.emplace(root_dist[k], k + 1);
+    heap.emplace(star.dist[k], k + 1);
   }
 
-  result.edges.reserve(m);
+  mst.edges.reserve(d);
   // Key updates run in two passes per extraction: gather the still-open
-  // frontier neighbors, one batched row probe, then the original relax
-  // loop over the results (same order, same comparisons — bit-identical).
+  // frontier neighbours, one batched row probe, then the relax loop over
+  // the results in the same order with the same comparisons.
   std::vector<std::size_t> batch_js;
   std::vector<std::size_t> batch_v;
   std::vector<double> batch_w;
-  for (std::size_t added = 0; added < m;) {
+  for (std::size_t added = 0; added < d;) {
     MWC_ASSERT_MSG(!heap.empty(), "root star keeps the aux graph connected");
     const auto [key, u] = heap.top();
     heap.pop();
     if (in_tree[u] || key > best[u]) continue;  // stale entry
     in_tree[u] = 1;
-    result.edges.push_back(graph::Edge{best_from[u], u, best[u]});
-    result.total_weight += best[u];
+    mst.edges.push_back(graph::Edge{best_from[u], u, best[u]});
+    mst.total_weight += best[u];
     ++added;
     batch_js.clear();
     batch_v.clear();
     for (const std::size_t j : adj[u - 1]) {
       const std::size_t v = j + 1;
       if (in_tree[v]) continue;
-      batch_js.push_back(q + j);
+      batch_js.push_back(sensors[j]);
       batch_v.push_back(v);
     }
     if (batch_js.empty()) continue;
     cand_evals += batch_js.size();
     probes += batch_js.size();
     batch_w.resize(batch_js.size());
-    distances.distances_to(q + u - 1, batch_js, batch_w.data());
+    distances.distances_to(sensors[u - 1], batch_js, batch_w.data());
     for (std::size_t t = 0; t < batch_v.size(); ++t) {
       const std::size_t v = batch_v[t];
       const double w = batch_w[t];
@@ -131,11 +186,121 @@ graph::MstResult prim_msf_pruned(const DistanceView& distances, std::size_t q,
       }
     }
   }
-  return result;
+  return mst;
 }
 
-/// Shared core of the dense and pruned MSF entry points: nearest-depot
-/// scan, aux-graph MST (dense or candidate-pruned), un-contract.
+/// The aux-graph MST of a Region. Dense (`pruned` null): Prim over the
+/// complete aux graph, the path production runs and the golden
+/// reference. Pruned: lazy_prim over the candidate edges among the
+/// Region's sensors, symmetrized — kNN is not a symmetric relation, but
+/// Prim must be able to relax an edge from whichever endpoint enters the
+/// tree first. Depot candidates are skipped: depots enter via the star.
+/// The pruned weight can only exceed the dense one when some true MSF
+/// edge joins two sensors that are not mutual-or-one-way candidates —
+/// essentially never on Euclidean instances at k ≈ 10 (pinned by tests,
+/// escape-hatched by verify_against_dense).
+graph::MstResult span_region(const DistanceView& distances, std::size_t q,
+                             const Region& region, const RootStar& star,
+                             const CandidateGraph* pruned,
+                             std::uint64_t& probes,
+                             std::uint64_t& cand_evals) {
+  const std::size_t d = region.sensors.size();
+  if (pruned == nullptr) {
+    const std::size_t* ids = region.sensors.data();
+    const auto aux_dist = [&, ids](std::size_t i, std::size_t j) -> double {
+      if (i == j) return 0.0;
+      if (i == 0) return star.dist[j - 1];
+      if (j == 0) return star.dist[i - 1];
+      ++probes;
+      return distances(ids[i - 1], ids[j - 1]);
+    };
+    return graph::prim_mst_with(d + 1, aux_dist, /*root=*/0);
+  }
+  std::vector<std::size_t> local(distances.size(), kNone);
+  for (std::size_t k = 0; k < d; ++k) local[region.sensors[k]] = k;
+  std::vector<std::vector<std::size_t>> adj(d);
+  for (std::size_t k = 0; k < d; ++k) {
+    for (const std::size_t c : pruned->neighbors(region.sensors[k])) {
+      if (c < q || local[c] == kNone) continue;
+      adj[k].push_back(local[c]);
+      adj[local[c]].push_back(k);
+    }
+  }
+  for (auto& a : adj) {
+    std::sort(a.begin(), a.end());
+    a.erase(std::unique(a.begin(), a.end()), a.end());
+  }
+  return lazy_prim(distances, region.sensors, star, adj, probes, cand_evals);
+}
+
+/// Un-contract, owners: a node hanging off the virtual root (aux node 0)
+/// takes `root_owner(k)` for its local index k; every other node inherits
+/// its parent's owner, pushed down in the DFS order mst_parents walks.
+/// Returns one owner per aux node (entry 0 unused).
+template <typename RootOwner>
+std::vector<std::size_t> propagate_owners(std::size_t n,
+                                          const graph::MstResult& mst,
+                                          RootOwner&& root_owner) {
+  std::vector<std::size_t> order;
+  const auto parent = graph::mst_parents(n, mst.edges, /*root=*/0, &order);
+  std::vector<std::size_t> owner(n, kNone);
+  for (const std::size_t v : order) {
+    if (v == 0) continue;
+    owner[v] = parent[v] == 0 ? root_owner(v - 1) : owner[parent[v]];
+  }
+  return owner;
+}
+
+/// Algorithm 1 over one Region: scan the root star, span the aux graph,
+/// un-contract. An aux edge (0, k) becomes (attachment, sensor) in the
+/// tree of the depot it attaches to; every other edge joins its owner's
+/// tree. Returns the new edges per depot (size q), in MST order. The full
+/// MSF is the Region of every sensor with no clean trees; a repair's is
+/// the dirty sensors over the clean remainder. Probe and candidate counts
+/// flush once here, so the inner loops pay no atomic traffic.
+std::vector<std::vector<graph::Edge>> msf_core(
+    const DistanceView& distances, std::size_t q, const Region& region,
+    const CandidateGraph* candidates, bool verify_against_dense) {
+  std::uint64_t probes = 0;
+  std::uint64_t cand_evals = 0;
+  const CandidateGraph* pruned =
+      prunable(candidates, distances.size()) ? candidates : nullptr;
+  const RootStar star =
+      scan_root_star(distances, q, region, pruned, probes, cand_evals);
+  graph::MstResult mst =
+      span_region(distances, q, region, star, pruned, probes, cand_evals);
+  if (pruned != nullptr && verify_against_dense) {
+    auto dense =
+        span_region(distances, q, region, star, nullptr, probes, cand_evals);
+    if (mst.total_weight > dense.total_weight * (1.0 + 1e-12) + 1e-9) {
+      MWC_OBS_COUNT("tsp.msf_prune_fallbacks");
+      mst = std::move(dense);
+    }
+  }
+  flush_probe_count(distances, probes);
+  MWC_OBS_COUNT_N("tsp.cand.hits", cand_evals);
+
+  const auto owner = propagate_owners(
+      region.sensors.size() + 1, mst, [&](std::size_t k) {
+        const std::size_t at = star.attach[k];
+        return at < q ? at : region.clean_owner[at];
+      });
+  std::vector<std::vector<graph::Edge>> edges(q);
+  for (const auto& e : mst.edges) {
+    if (e.u == 0 || e.v == 0) {
+      const std::size_t k = e.u == 0 ? e.v : e.u;
+      edges[owner[k]].push_back(
+          graph::Edge{star.attach[k - 1], region.sensors[k - 1], e.w});
+    } else {
+      MWC_DEBUG_ASSERT(owner[e.u] == owner[e.v]);
+      edges[owner[e.u]].push_back(graph::Edge{
+          region.sensors[e.u - 1], region.sensors[e.v - 1], e.w});
+    }
+  }
+  return edges;
+}
+
+/// Full MSF entry point shared by the dense and pruned overloads.
 QRootedForest msf_impl(const DistanceView& distances, std::size_t q,
                        const CandidateGraph* candidates,
                        bool verify_against_dense) {
@@ -146,7 +311,6 @@ QRootedForest msf_impl(const DistanceView& distances, std::size_t q,
 
   QRootedForest result;
   result.trees.reserve(q);
-
   if (m == 0) {
     for (std::size_t l = 0; l < q; ++l)
       result.trees.emplace_back(l, std::span<const graph::Edge>{});
@@ -154,124 +318,16 @@ QRootedForest msf_impl(const DistanceView& distances, std::size_t q,
   }
 
   MWC_OBS_COUNT("tsp.msf_builds");
-  // Probes accumulate in a local and flush once at the end, so the
-  // Prim/root-scan inner loops pay no atomic traffic.
-  std::uint64_t probes = 0;
-  std::uint64_t cand_evals = 0;
-
-  // Auxiliary contracted graph G_r: node 0 is the virtual root r (all q
-  // depots merged), nodes 1..m are the sensors. w_r(0, k) is the distance
-  // from sensor k to its nearest depot; remember which depot realizes it.
-  std::vector<double> root_dist(m, std::numeric_limits<double>::infinity());
-  std::vector<std::size_t> nearest_depot(m, 0);
-  {
-    // Depot-major, cache-blocked scan: one batched row probe per
-    // (depot, sensor-block) instead of m per-sensor depot loops. In
-    // oracle mode this materializes the q depot rows rather than all m
-    // sensor rows (the entire matrix); distances are symmetric
-    // bit-for-bit, so probing (l, q+k) equals the seed's (q+k, l), and
-    // merging depots in ascending order with strict < keeps the seed's
-    // first-minimal-depot tie-breaking.
-    constexpr std::size_t kBlock = 4096;
-    std::vector<std::size_t> sensor_ids(m);
-    for (std::size_t k = 0; k < m; ++k) sensor_ids[k] = q + k;
-    std::vector<double> dl(std::min(m, kBlock));
-    for (std::size_t k0 = 0; k0 < m; k0 += kBlock) {
-      const std::size_t len = std::min(kBlock, m - k0);
-      const std::span<const std::size_t> block(sensor_ids.data() + k0, len);
-      for (std::size_t l = 0; l < q; ++l) {
-        distances.distances_to(l, block, dl.data());
-        for (std::size_t k = 0; k < len; ++k) {
-          if (dl[k] < root_dist[k0 + k]) {
-            root_dist[k0 + k] = dl[k];
-            nearest_depot[k0 + k] = l;
-          }
-        }
-      }
-    }
-  }
-  probes += static_cast<std::uint64_t>(m) * q;
-
-  const auto aux_dist = [&](std::size_t i, std::size_t j) -> double {
-    if (i == j) return 0.0;
-    if (i == 0) return root_dist[j - 1];
-    if (j == 0) return root_dist[i - 1];
-    ++probes;
-    return distances(q + i - 1, q + j - 1);
-  };
-
-  graph::MstResult mst;
-  if (prunable(candidates, distances.size())) {
-    mst = prim_msf_pruned(distances, q, *candidates, root_dist, probes,
-                          cand_evals);
-    if (verify_against_dense) {
-      auto dense = graph::prim_mst_with(m + 1, aux_dist, /*root=*/0);
-      if (mst.total_weight >
-          dense.total_weight * (1.0 + 1e-12) + 1e-9) {
-        MWC_OBS_COUNT("tsp.msf_prune_fallbacks");
-        mst = std::move(dense);
-      }
-    }
-  } else {
-    mst = graph::prim_mst_with(m + 1, aux_dist, /*root=*/0);
-  }
-  flush_probe_count(distances, probes);
-  MWC_OBS_COUNT_N("tsp.cand.hits", cand_evals);
-
-  // Un-contract: an MST edge (0, k) becomes (nearest_depot[k-1], sensor).
-  // Each subtree hanging off the virtual root attaches through exactly one
-  // such edge, so assigning subtree edges to that depot partitions the MST
-  // into q depot-rooted trees (possibly several subtrees per depot).
-  const auto parent = graph::mst_parents(m + 1, mst.edges, /*root=*/0);
-
-  // owner[aux_node] = depot owning that node's subtree (sensors only).
-  std::vector<std::size_t> owner(m + 1, q);
-  // Resolve owners top-down: a sensor attached to the root gets its
-  // nearest depot; otherwise it inherits its parent's owner. Iterate until
-  // fixed point (parents can appear after children in edge order, so walk
-  // by increasing depth via repeated sweeps; MST has <= m+1 nodes so the
-  // loop is cheap).
-  {
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (std::size_t v = 1; v <= m; ++v) {
-        if (owner[v] != q) continue;
-        if (parent[v] == 0) {
-          owner[v] = nearest_depot[v - 1];
-          changed = true;
-        } else if (owner[parent[v]] != q) {
-          owner[v] = owner[parent[v]];
-          changed = true;
-        }
-      }
-    }
-  }
-
-  // Build per-depot edge lists in combined index space.
-  std::vector<std::vector<graph::Edge>> depot_edges(q);
-  for (const auto& e : mst.edges) {
-    const std::size_t a = e.u;
-    const std::size_t b = e.v;
-    if (a == 0 || b == 0) {
-      const std::size_t s = (a == 0) ? b : a;  // sensor aux index
-      const std::size_t depot = nearest_depot[s - 1];
-      depot_edges[depot].push_back(
-          graph::Edge{depot, q + (s - 1), e.w});
-    } else {
-      const std::size_t depot = owner[a];
-      MWC_DEBUG_ASSERT(owner[a] == owner[b]);
-      depot_edges[depot].push_back(
-          graph::Edge{q + (a - 1), q + (b - 1), e.w});
-    }
-  }
-
+  std::vector<std::size_t> depots(q);
+  std::iota(depots.begin(), depots.end(), std::size_t{0});
+  std::vector<std::size_t> sensors(m);
+  std::iota(sensors.begin(), sensors.end(), q);
+  const auto edges = msf_core(distances, q, Region{depots, sensors, {}, {}},
+                              candidates, verify_against_dense);
   for (std::size_t l = 0; l < q; ++l) {
-    result.trees.emplace_back(l, depot_edges[l]);
+    result.trees.emplace_back(l, edges[l]);
     result.total_weight += result.trees.back().total_weight();
   }
-  MWC_DEBUG_ASSERT(std::abs(result.total_weight - mst.total_weight) <
-                   1e-6 * (1.0 + mst.total_weight));
   return result;
 }
 
@@ -306,8 +362,6 @@ QRootedForest repair_q_rooted_msf(const DistanceView& distances,
                                   MsfRepairStats* stats) {
   MWC_OBS_SCOPE("tsp.msf_repair");
   MWC_OBS_COUNT("tsp.repair.msf");
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
   MWC_ASSERT_MSG(q >= 1 && base.trees.size() == q,
                  "base forest must have one tree per depot");
   MWC_ASSERT_MSG(plan.tree_dirty.size() == q, "tree_dirty must have size q");
@@ -315,16 +369,16 @@ QRootedForest repair_q_rooted_msf(const DistanceView& distances,
                  "root_active must be empty or size q");
   const std::size_t total = distances.size();
 
-  const auto active = [&](std::size_t l) {
-    return plan.root_active.empty() || plan.root_active[l] != 0;
-  };
-  std::size_t num_active = 0;
+  // An inactive root attracts no sensors, so its tree is always
+  // re-spanned: whatever it still holds is re-homed onto active roots.
+  std::vector<std::size_t> active_depots;
+  std::vector<char> dirty_tree(q, 0);
   for (std::size_t l = 0; l < q; ++l) {
-    if (active(l)) ++num_active;
-    MWC_ASSERT_MSG(active(l) || plan.tree_dirty[l] != 0,
-                   "inactive roots must have dirty trees");
+    const bool active = plan.root_active.empty() || plan.root_active[l] != 0;
+    if (active) active_depots.push_back(l);
+    dirty_tree[l] = plan.tree_dirty[l] != 0 || !active ? 1 : 0;
   }
-  MWC_ASSERT_MSG(num_active >= 1, "at least one depot must stay active");
+  MWC_ASSERT_MSG(!active_depots.empty(), "at least one depot must stay active");
 
   // Split sensors into the dirty region (re-spanned below) and the clean
   // remainder (kept verbatim, owner recorded for grafting).
@@ -335,7 +389,7 @@ QRootedForest repair_q_rooted_msf(const DistanceView& distances,
     for (const std::size_t v : base.trees[l].nodes()) {
       if (v < q) continue;
       MWC_ASSERT_MSG(v < total, "base tree node outside the combined space");
-      if (plan.tree_dirty[l]) {
+      if (dirty_tree[l]) {
         dirty.push_back(v);
       } else {
         owner[v] = l;
@@ -348,185 +402,25 @@ QRootedForest repair_q_rooted_msf(const DistanceView& distances,
     dirty.push_back(v);
   }
   std::sort(dirty.begin(), dirty.end());
-  const std::size_t d = dirty.size();
-  MWC_OBS_COUNT_N("tsp.repair.dirty_sensors", d);
-  if (stats != nullptr) stats->dirty_sensors = d;
+  MWC_OBS_COUNT_N("tsp.repair.dirty_sensors", dirty.size());
+  if (stats != nullptr) stats->dirty_sensors = dirty.size();
 
-  std::uint64_t probes = 0;
-  std::uint64_t cand_evals = 0;
-
-  // Dirty-local index of each combined id.
-  std::vector<std::size_t> local(total, kNone);
-  for (std::size_t k = 0; k < d; ++k) local[dirty[k]] = k;
-
-  // Virtual-root star: everything already connected — active depots and
-  // clean sensors — contracts into aux node 0. For each dirty sensor,
-  // find its cheapest attachment into that structure: all active depots
-  // exactly, plus clean sensors from its candidate row (or all of them
-  // when running dense).
-  std::vector<double> root_dist(d, kInf);
-  std::vector<std::size_t> attach(d, kNone);  // combined id realizing it
-  const bool pruned = prunable(candidates, total);
-  {
-    // Batched attachment scan: per dirty sensor, gather every legal
-    // attachment target in the seed's evaluation order (active depots
-    // ascending, then candidate/clean sensors), one row probe, then the
-    // original strict-< merge — first minimum wins, bit-identical.
-    std::vector<std::size_t> active_depots;
-    for (std::size_t l = 0; l < q; ++l)
-      if (active(l)) active_depots.push_back(l);
-    std::vector<std::size_t> targets;
-    std::vector<double> tw;
-    for (std::size_t k = 0; k < d; ++k) {
-      const std::size_t s = dirty[k];
-      targets.assign(active_depots.begin(), active_depots.end());
-      if (pruned) {
-        for (const std::size_t c : candidates->neighbors(s)) {
-          ++cand_evals;
-          if (c < q || owner[c] == kNone) continue;
-          targets.push_back(c);
-        }
-      } else {
-        targets.insert(targets.end(), clean.begin(), clean.end());
-      }
-      tw.resize(targets.size());
-      distances.distances_to(s, targets, tw.data());
-      probes += targets.size();
-      for (std::size_t t = 0; t < targets.size(); ++t) {
-        if (tw[t] < root_dist[k]) {
-          root_dist[k] = tw[t];
-          attach[k] = targets[t];
-        }
-      }
-    }
-  }
-
-  // Dirty-dirty adjacency: candidate rows restricted to the dirty set
-  // (symmetrized), or all pairs when dense.
-  std::vector<std::vector<std::size_t>> adj(d);
-  if (pruned) {
-    for (std::size_t k = 0; k < d; ++k) {
-      for (const std::size_t c : candidates->neighbors(dirty[k])) {
-        ++cand_evals;
-        if (c < q || local[c] == kNone) continue;
-        adj[k].push_back(local[c]);
-        adj[local[c]].push_back(k);
-      }
-    }
-    for (auto& a : adj) {
-      std::sort(a.begin(), a.end());
-      a.erase(std::unique(a.begin(), a.end()), a.end());
-    }
-  } else {
-    for (std::size_t k = 0; k < d; ++k)
-      for (std::size_t j = 0; j < d; ++j)
-        if (j != k) adj[k].push_back(j);
-  }
-
-  // Lazy-heap Prim over aux nodes {0 = contracted clean structure,
-  // 1..d = dirty sensors} — the same scheme as prim_msf_pruned.
-  graph::MstResult mst;
-  if (d > 0) {
-    std::vector<double> best(d + 1, kInf);
-    std::vector<std::size_t> best_from(d + 1, kNone);
-    std::vector<char> in_tree(d + 1, 0);
-    using Item = std::pair<double, std::size_t>;
-    std::priority_queue<Item, std::vector<Item>, std::greater<Item>> heap;
-    in_tree[0] = 1;
-    for (std::size_t k = 0; k < d; ++k) {
-      best[k + 1] = root_dist[k];
-      best_from[k + 1] = 0;
-      heap.emplace(root_dist[k], k + 1);
-    }
-    mst.edges.reserve(d);
-    // Same gather / batch-probe / relay scheme as prim_msf_pruned.
-    std::vector<std::size_t> batch_js;
-    std::vector<std::size_t> batch_v;
-    std::vector<double> batch_w;
-    for (std::size_t added = 0; added < d;) {
-      MWC_ASSERT_MSG(!heap.empty(), "root star keeps the aux graph connected");
-      const auto [key, u] = heap.top();
-      heap.pop();
-      if (in_tree[u] || key > best[u]) continue;  // stale entry
-      in_tree[u] = 1;
-      mst.edges.push_back(graph::Edge{best_from[u], u, best[u]});
-      mst.total_weight += best[u];
-      ++added;
-      batch_js.clear();
-      batch_v.clear();
-      for (const std::size_t j : adj[u - 1]) {
-        const std::size_t v = j + 1;
-        if (in_tree[v]) continue;
-        batch_js.push_back(dirty[j]);
-        batch_v.push_back(v);
-      }
-      if (batch_js.empty()) continue;
-      probes += batch_js.size();
-      batch_w.resize(batch_js.size());
-      distances.distances_to(dirty[u - 1], batch_js, batch_w.data());
-      for (std::size_t t = 0; t < batch_v.size(); ++t) {
-        const std::size_t v = batch_v[t];
-        const double w = batch_w[t];
-        if (w < best[v]) {
-          best[v] = w;
-          best_from[v] = u;
-          heap.emplace(w, v);
-        }
-      }
-    }
-  }
-  flush_probe_count(distances, probes);
-  MWC_OBS_COUNT_N("tsp.cand.hits", cand_evals);
-
-  // Un-contract in the dirty subspace: sensors attached to aux node 0
-  // inherit the depot of their attachment point (the depot itself, or
-  // the owner of the clean sensor they graft onto); sensor-sensor edges
-  // inherit by parent propagation.
-  const auto parent = graph::mst_parents(d + 1, mst.edges, /*root=*/0);
-  std::vector<std::size_t> dirty_owner(d + 1, kNone);
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (std::size_t v = 1; v <= d; ++v) {
-      if (dirty_owner[v] != kNone) continue;
-      if (parent[v] == 0) {
-        const std::size_t at = attach[v - 1];
-        dirty_owner[v] = at < q ? at : owner[at];
-        changed = true;
-      } else if (dirty_owner[parent[v]] != kNone) {
-        dirty_owner[v] = dirty_owner[parent[v]];
-        changed = true;
-      }
-    }
-  }
-
-  std::vector<std::vector<graph::Edge>> new_edges(q);
-  for (const auto& e : mst.edges) {
-    const std::size_t u = e.u;
-    const std::size_t v = e.v;
-    if (u == 0 || v == 0) {
-      const std::size_t k = (u == 0) ? v : u;  // dirty aux index
-      new_edges[dirty_owner[k]].push_back(
-          graph::Edge{attach[k - 1], dirty[k - 1], e.w});
-    } else {
-      MWC_DEBUG_ASSERT(dirty_owner[u] == dirty_owner[v]);
-      new_edges[dirty_owner[u]].push_back(
-          graph::Edge{dirty[u - 1], dirty[v - 1], e.w});
-    }
-  }
+  const auto new_edges =
+      msf_core(distances, q, Region{active_depots, dirty, clean, owner},
+               candidates, /*verify_against_dense=*/false);
 
   QRootedForest result;
   result.trees.reserve(q);
   std::size_t rebuilt = 0;
   std::vector<char> tree_changed(q, 0);
   for (std::size_t l = 0; l < q; ++l) {
-    if (!plan.tree_dirty[l] && new_edges[l].empty()) {
+    if (!dirty_tree[l] && new_edges[l].empty()) {
       result.trees.push_back(base.trees[l]);  // untouched — reuse
     } else {
       ++rebuilt;
       tree_changed[l] = 1;
       std::vector<graph::Edge> edges;
-      if (!plan.tree_dirty[l])
+      if (!dirty_tree[l])
         edges.assign(base.trees[l].edges().begin(),
                      base.trees[l].edges().end());
       edges.insert(edges.end(), new_edges[l].begin(), new_edges[l].end());
@@ -670,22 +564,8 @@ MultiRootAssignment q_rooted_msf_assign(
   const auto mst = graph::prim_mst(m + 1, aux_dist, /*root=*/0);
   result.total_weight = mst.total_weight;
 
-  const auto parent = graph::mst_parents(m + 1, mst.edges, /*root=*/0);
-  std::vector<std::size_t> owner(m + 1, num_roots);
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (std::size_t v = 1; v <= m; ++v) {
-      if (owner[v] != num_roots) continue;
-      if (parent[v] == 0) {
-        owner[v] = nearest_root[v - 1];
-        changed = true;
-      } else if (owner[parent[v]] != num_roots) {
-        owner[v] = owner[parent[v]];
-        changed = true;
-      }
-    }
-  }
+  const auto owner = propagate_owners(
+      m + 1, mst, [&](std::size_t k) { return nearest_root[k]; });
   for (std::size_t v = 1; v <= m; ++v) {
     MWC_DEBUG_ASSERT(owner[v] < num_roots);
     result.groups[owner[v]].push_back(v - 1);

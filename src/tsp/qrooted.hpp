@@ -15,14 +15,17 @@
 //     repeated nodes. Each resulting closed tour contains its own depot
 //     and the q tours jointly cover all sensors.
 //
-// Both stages accept an optional CandidateGraph over the combined node
-// space (see candidates.hpp). The MSF then runs a lazy-heap Prim that
-// only relaxes candidate sensor-sensor edges plus the virtual root's star
-// (nearest-depot distance to every sensor, which keeps the pruned graph
-// connected), and the polishers scan only candidate edges — the tour
-// pipeline drops from O(n²) to O(n·k). The dense paths remain and serve
-// as the golden reference; a complete candidate graph dispatches to them
-// for bit-identical results.
+// Algorithm 1 is one core (qrooted.cpp) behind three entry points: the
+// full MSF, the candidate-pruned full MSF and the dirty-region repair.
+// Each contracts what is already connected into the virtual root, scans
+// the root star, spans the auxiliary graph and un-contracts. The dense
+// span is O(n²) Prim over the complete graph, which is what production
+// runs and the golden reference. With a CandidateGraph over the combined
+// node space (see candidates.hpp) the span is a lazy-heap Prim over the
+// candidate sensor-sensor edges plus the root star (which keeps the
+// pruned graph connected), and the polishers scan only candidate edges,
+// so the tour pipeline drops from O(n²) to O(n·k). A complete candidate
+// graph dispatches to the dense paths for bit-identical results.
 #pragma once
 
 #include <cstddef>
@@ -168,8 +171,8 @@ QRootedForest q_rooted_msf(const DistanceView& distances, std::size_t q,
 /// re-spanned sensor may attach to a depot directly or graft onto a
 /// clean tree through one of its sensors.
 struct MsfRepairPlan {
-  /// Per-depot dirty flags (size q). A depot whose root is inactive
-  /// must be flagged dirty (its sensors are re-homed elsewhere).
+  /// Per-depot dirty flags (size q). An inactive root's tree counts as
+  /// dirty whatever its flag says (its sensors are re-homed elsewhere).
   std::vector<char> tree_dirty;
   /// Per-depot availability (size q, or empty for "all active"). An
   /// inactive depot keeps its combined index but attracts no sensors —
@@ -188,14 +191,14 @@ struct MsfRepairStats {
   std::vector<char> tree_changed;
 };
 
-/// Re-runs candidate-pruned Prim only over the dirty region (sensors of
-/// dirty trees plus extra_sensors), attaching it to the clean remainder,
-/// and merges the result with the untouched trees. With every tree dirty
-/// this degenerates to a full (active-root) MSF, so it is total; with a
-/// local patch it costs O(|dirty|·k log |dirty|) instead of O(m²).
-/// Counts `tsp.repair.*` telemetry. `candidates` (over the combined
-/// space) prunes both the dirty-dirty edges and the graft scan; null
-/// scans densely (exact).
+/// Re-runs Algorithm 1 only over the dirty region (sensors of dirty
+/// trees plus extra_sensors), attaching it to the clean remainder, and
+/// merges the result with the untouched trees. With every tree dirty and
+/// all roots active this is the full MSF: the same core, byte-identical
+/// forest. With a local patch and `candidates` it costs
+/// O(|dirty|·k log |dirty|) instead of O(m²). Counts `tsp.repair.*`
+/// telemetry. `candidates` (over the combined space) prunes both the
+/// dirty-dirty edges and the graft scan; null spans densely (exact).
 QRootedForest repair_q_rooted_msf(const DistanceView& distances,
                                   std::size_t q, const QRootedForest& base,
                                   const MsfRepairPlan& plan,

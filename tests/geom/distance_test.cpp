@@ -18,43 +18,49 @@ std::vector<Point> random_points(std::size_t n, std::uint64_t seed) {
   return pts;
 }
 
-TEST(DistanceMatrix, Empty) {
-  const DistanceMatrix d(std::vector<Point>{});
+/// O(n^3) triangle-inequality check over every triple of `d`.
+template <typename Matrix>
+bool satisfies_triangle_inequality(const Matrix& d, double tol = 1e-9) {
+  for (std::size_t i = 0; i < d.size(); ++i)
+    for (std::size_t j = 0; j < d.size(); ++j)
+      for (std::size_t k = 0; k < d.size(); ++k)
+        if (d(i, j) > d(i, k) + d(k, j) + tol) return false;
+  return true;
+}
+
+TEST(LazyDistanceMatrix, Empty) {
+  const LazyDistanceMatrix d(std::vector<Point>{});
   EXPECT_TRUE(d.empty());
   EXPECT_EQ(d.size(), 0u);
 }
 
-TEST(DistanceMatrix, DiagonalZero) {
-  const auto pts = random_points(20, 1);
-  const DistanceMatrix d(pts);
+TEST(LazyDistanceMatrix, DiagonalZero) {
+  const LazyDistanceMatrix d(random_points(20, 1));
   for (std::size_t i = 0; i < d.size(); ++i) EXPECT_EQ(d(i, i), 0.0);
 }
 
-TEST(DistanceMatrix, Symmetric) {
-  const auto pts = random_points(20, 2);
-  const DistanceMatrix d(pts);
+TEST(LazyDistanceMatrix, Symmetric) {
+  const LazyDistanceMatrix d(random_points(20, 2));
   for (std::size_t i = 0; i < d.size(); ++i)
     for (std::size_t j = 0; j < d.size(); ++j)
       EXPECT_DOUBLE_EQ(d(i, j), d(j, i));
 }
 
-TEST(DistanceMatrix, MatchesPointDistance) {
+TEST(LazyDistanceMatrix, MatchesPointDistance) {
   const auto pts = random_points(15, 3);
-  const DistanceMatrix d(pts);
+  const LazyDistanceMatrix d(pts);
   for (std::size_t i = 0; i < d.size(); ++i)
     for (std::size_t j = 0; j < d.size(); ++j)
       EXPECT_DOUBLE_EQ(d(i, j), distance(pts[i], pts[j]));
 }
 
-TEST(DistanceMatrix, EuclideanSatisfiesTriangleInequality) {
-  const auto pts = random_points(25, 4);
-  const DistanceMatrix d(pts);
-  EXPECT_TRUE(d.satisfies_triangle_inequality());
+TEST(LazyDistanceMatrix, EuclideanSatisfiesTriangleInequality) {
+  const LazyDistanceMatrix d(random_points(25, 4));
+  EXPECT_TRUE(satisfies_triangle_inequality(d));
 }
 
-TEST(DistanceMatrix, RowSpan) {
-  const auto pts = random_points(10, 5);
-  const DistanceMatrix d(pts);
+TEST(LazyDistanceMatrix, RowSpan) {
+  const LazyDistanceMatrix d(random_points(10, 5));
   const auto row3 = d.row(3);
   ASSERT_EQ(row3.size(), 10u);
   for (std::size_t j = 0; j < 10; ++j) EXPECT_EQ(row3[j], d(3, j));

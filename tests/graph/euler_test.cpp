@@ -6,6 +6,7 @@
 #include <set>
 #include <vector>
 
+#include "geom/point.hpp"
 #include "graph/mst.hpp"
 #include "util/rng.hpp"
 

@@ -4,7 +4,7 @@
 
 #include <vector>
 
-#include "geom/distance.hpp"
+#include "geom/point.hpp"
 #include "graph/dsu.hpp"
 #include "util/rng.hpp"
 
@@ -18,6 +18,17 @@ std::vector<geom::Point> random_points(std::size_t n, std::uint64_t seed) {
   for (std::size_t i = 0; i < n; ++i)
     pts.push_back({rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)});
   return pts;
+}
+
+/// Prim over the complete Euclidean graph on `pts`.
+MstResult euclidean_mst(const std::vector<geom::Point>& pts,
+                        std::size_t root = 0) {
+  return prim_mst(
+      pts.size(),
+      [&](std::size_t i, std::size_t j) {
+        return geom::distance(pts[i], pts[j]);
+      },
+      root);
 }
 
 bool is_spanning_tree(std::size_t n, const std::vector<Edge>& edges) {
@@ -41,25 +52,22 @@ TEST(PrimMst, EmptyAndSingle) {
 TEST(PrimMst, KnownTriangle) {
   // Triangle with weights 1, 2, 3 -> MST weight 3.
   const std::vector<geom::Point> pts{{0, 0}, {1, 0}, {0, 2}};
-  const geom::DistanceMatrix d(pts);
-  const auto mst = prim_mst(d);
+  const auto mst = euclidean_mst(pts);
   EXPECT_EQ(mst.edges.size(), 2u);
   EXPECT_NEAR(mst.total_weight, 3.0, 1e-12);
 }
 
 TEST(PrimMst, ProducesSpanningTree) {
   const auto pts = random_points(50, 1);
-  const geom::DistanceMatrix d(pts);
-  const auto mst = prim_mst(d);
+  const auto mst = euclidean_mst(pts);
   EXPECT_TRUE(is_spanning_tree(pts.size(), mst.edges));
 }
 
 TEST(PrimMst, RootChoiceDoesNotChangeWeight) {
   const auto pts = random_points(30, 2);
-  const geom::DistanceMatrix d(pts);
-  const auto w0 = prim_mst(d, 0).total_weight;
-  const auto w7 = prim_mst(d, 7).total_weight;
-  const auto w29 = prim_mst(d, 29).total_weight;
+  const auto w0 = euclidean_mst(pts, 0).total_weight;
+  const auto w7 = euclidean_mst(pts, 7).total_weight;
+  const auto w29 = euclidean_mst(pts, 29).total_weight;
   EXPECT_NEAR(w0, w7, 1e-9);
   EXPECT_NEAR(w0, w29, 1e-9);
 }
@@ -85,13 +93,12 @@ class MstAgreement : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(MstAgreement, PrimEqualsKruskal) {
   const auto pts = random_points(40, GetParam());
-  const geom::DistanceMatrix d(pts);
-  const auto prim = prim_mst(d);
+  const auto prim = euclidean_mst(pts);
 
   std::vector<Edge> all_edges;
   for (std::size_t i = 0; i < pts.size(); ++i)
     for (std::size_t j = i + 1; j < pts.size(); ++j)
-      all_edges.push_back({i, j, d(i, j)});
+      all_edges.push_back({i, j, geom::distance(pts[i], pts[j])});
   const auto kruskal = kruskal_mst(pts.size(), all_edges);
 
   EXPECT_NEAR(prim.total_weight, kruskal.total_weight, 1e-9);
@@ -104,10 +111,22 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MstAgreement,
 
 TEST(MstParents, RootIsItsOwnParent) {
   const auto pts = random_points(20, 9);
-  const geom::DistanceMatrix d(pts);
-  const auto mst = prim_mst(d);
-  const auto parent = mst_parents(pts.size(), mst.edges, 5);
+  const auto mst = euclidean_mst(pts);
+  std::vector<std::size_t> order;
+  const auto parent = mst_parents(pts.size(), mst.edges, 5, &order);
   EXPECT_EQ(parent[5], 5u);
+  // The DFS order starts at the root and visits every parent before its
+  // children, each node once.
+  ASSERT_EQ(order.size(), pts.size());
+  EXPECT_EQ(order.front(), 5u);
+  std::vector<char> seen(pts.size(), 0);
+  for (const std::size_t v : order) {
+    EXPECT_FALSE(seen[v]) << "node " << v << " visited twice";
+    if (v != 5) {
+      EXPECT_TRUE(seen[parent[v]]) << "node " << v;
+    }
+    seen[v] = 1;
+  }
   // Every node reaches the root.
   for (std::size_t v = 0; v < pts.size(); ++v) {
     std::size_t u = v;
@@ -120,14 +139,14 @@ TEST(MstParents, RootIsItsOwnParent) {
   }
 }
 
-TEST(PrimMst, FunctionOracleMatchesMatrix) {
+TEST(PrimMst, StaticDispatchMatchesFunctionOracle) {
   const auto pts = random_points(25, 10);
-  const geom::DistanceMatrix d(pts);
-  const auto via_matrix = prim_mst(d);
-  const auto via_fn = prim_mst(
-      pts.size(),
-      [&](std::size_t i, std::size_t j) { return d(i, j); });
-  EXPECT_NEAR(via_matrix.total_weight, via_fn.total_weight, 1e-12);
+  const auto via_fn = euclidean_mst(pts);
+  const auto via_template = prim_mst_with(
+      pts.size(), [&](std::size_t i, std::size_t j) {
+        return geom::distance(pts[i], pts[j]);
+      });
+  EXPECT_NEAR(via_template.total_weight, via_fn.total_weight, 1e-12);
 }
 
 }  // namespace

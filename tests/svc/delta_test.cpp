@@ -256,6 +256,55 @@ TEST(HandleDelta, DerivedPlansChain) {
   EXPECT_TRUE(serves_new);
 }
 
+/// A charger downed by one delta stays down in every plan derived from
+/// it, so a later delta that does not touch it still runs against an
+/// inactive root whose tree nothing marked dirty.
+TEST(HandleDelta, ChainOnDownedChargerKeepsItHome) {
+  constexpr std::size_t n = 200;
+  PlanCache cache(16);
+  const std::uint64_t base = solve_base(cache, n, 3, 1000.0, 11, 60.0);
+  const Response down = handle_delta(
+      DeltaBuilder("d1", base).charger_down(0).build(), &cache);
+  ASSERT_TRUE(down.ok) << down.message;
+
+  // Nudge the sensor farthest from charger 0, so that neither the moved
+  // sensor nor its candidate neighbours lead the repair back to it.
+  const auto state = cache.get_state(base);
+  ASSERT_NE(state, nullptr);
+  const geom::Point depot = state->network.depots()[0];
+  std::size_t far = 0;
+  for (std::size_t s = 1; s < n; ++s)
+    if (geom::distance(state->network.sensor_points()[s], depot) >
+        geom::distance(state->network.sensor_points()[far], depot))
+      far = s;
+  const geom::Point at = state->network.sensor_points()[far];
+  const Response moved = handle_delta(
+      DeltaBuilder("d2", down.plan->fingerprint)
+          .move_sensor(far, {at.x + 1.0, at.y + 1.0})
+          .build(),
+      &cache);
+  ASSERT_TRUE(moved.ok) << moved.message;
+  EXPECT_TRUE(moved.derived);
+  EXPECT_EQ(moved.base_fingerprint, down.plan->fingerprint);
+
+  std::vector<int> served(n, 0);
+  bool saw_downed = false;
+  for (const PlanTour& tour : moved.plan->first_round_tours) {
+    if (tour.depot == 0) {
+      saw_downed = true;
+      EXPECT_TRUE(tour.sensors.empty()) << "downed charger was dispatched";
+      EXPECT_EQ(tour.length, 0.0);
+    }
+    for (const std::size_t s : tour.sensors) {
+      ASSERT_LT(s, served.size());
+      ++served[s];
+    }
+  }
+  EXPECT_TRUE(saw_downed);
+  for (std::size_t s = 0; s < served.size(); ++s)
+    EXPECT_EQ(served[s], 1) << "sensor " << s;
+}
+
 TEST(HandleDelta, StructuredErrors) {
   PlanCache cache(16);
   const DeltaRequest orphan =

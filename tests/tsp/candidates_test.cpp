@@ -95,24 +95,6 @@ TEST(CandidateGraph, RowsAreNearestNeighborsSortedByDistance) {
   }
 }
 
-TEST(CandidateGraph, BackendsProduceIdenticalRows) {
-  const auto pts = random_points(120, 9);
-  CandidateOptions kd;
-  kd.backend = CandidateOptions::Backend::kKdTree;
-  CandidateOptions grid;
-  grid.backend = CandidateOptions::Backend::kGrid;
-  const auto a = CandidateGraph::build(pts, kd);
-  const auto b = CandidateGraph::build(pts, grid);
-  ASSERT_EQ(a.size(), b.size());
-  ASSERT_EQ(a.k(), b.k());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const auto ra = a.neighbors(i);
-    const auto rb = b.neighbors(i);
-    for (std::size_t r = 0; r < ra.size(); ++r)
-      EXPECT_EQ(ra[r], rb[r]) << "node " << i << " rank " << r;
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Golden suite: candidate mode vs exhaustive sweep across the size grid.
 

@@ -96,6 +96,29 @@ TEST_P(Lemma1Property, MsfMatchesBruteForce) {
   EXPECT_NEAR(algo, brute, 1e-9) << "q=" << q << " m=" << m;
 }
 
+// Collinear sensors in reverse index order hang off depot 0 as one chain
+// whose every parent has a larger index than its child: the deepest MST
+// the un-contract step can meet.
+TEST_P(Lemma1Property, DeepChainMatchesBruteForce) {
+  const auto seed = GetParam();
+  mwc::Rng meta(seed ^ 0xDEE9);
+  const auto q = static_cast<std::size_t>(meta.uniform_int(2, 3));
+  const auto m = static_cast<std::size_t>(meta.uniform_int(2, 7));
+  auto inst = random_instance(q, 0, seed ^ 0xEF, /*side=*/100.0);
+  inst.depots[0] = {0.0, 0.0};
+  for (std::size_t k = 0; k < m; ++k)
+    inst.sensors.push_back({10.0 * static_cast<double>(m - k), 0.0});
+  const auto forest = q_rooted_msf(inst);
+  EXPECT_NEAR(forest.total_weight, brute_force_q_rooted_msf(inst), 1e-9)
+      << "q=" << q << " m=" << m;
+  std::size_t spanned = 0;
+  for (const auto& tree : forest.trees) {
+    EXPECT_TRUE(tree.valid());
+    spanned += tree.num_nodes() - 1;
+  }
+  EXPECT_EQ(spanned, m);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, Lemma1Property,
                          ::testing::Range<std::uint64_t>(1, 21));
 

@@ -1,6 +1,6 @@
 // Tests for the incremental layers behind the v2 delta path:
 // CandidateGraph::repair must equal a from-scratch build on the patched
-// points (both spatial backends), repair_q_rooted_msf must degenerate to
+// points, repair_q_rooted_msf must degenerate to
 // the exact forest when every tree is dirty and stay a valid spanning
 // forest under local patches, and seed_nodes must localize candidate-mode
 // re-polish while leaving the exhaustive sweep untouched.
@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <cstddef>
 #include <numeric>
+#include <span>
+#include <tuple>
 #include <vector>
 
 #include "tsp/candidates.hpp"
@@ -86,29 +88,23 @@ PatchedPoints make_patch(const std::vector<geom::Point>& base,
 }
 
 TEST(CandidateRepair, MatchesFreshBuildOnRandomPatches) {
-  for (const auto backend : {CandidateOptions::Backend::kKdTree,
-                             CandidateOptions::Backend::kGrid}) {
-    for (const std::size_t k : {4u, 12u}) {
-      CandidateOptions options;
-      options.k = k;
-      options.backend = backend;
-      for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-        const std::vector<geom::Point> base_points = random_points(120, seed);
-        const CandidateGraph base = CandidateGraph::build(base_points,
-                                                          options);
-        const PatchedPoints patch = make_patch(base_points, seed + 100);
-        const CandidateGraph repaired =
-            CandidateGraph::repair(base, patch.points, patch.remap, options);
-        const CandidateGraph fresh =
-            CandidateGraph::build(patch.points, options);
-        ASSERT_EQ(repaired.size(), fresh.size());
-        ASSERT_EQ(repaired.k(), fresh.k());
-        for (std::size_t i = 0; i < fresh.size(); ++i) {
-          const auto a = repaired.neighbors(i);
-          const auto b = fresh.neighbors(i);
-          ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
-              << "row " << i << " k=" << k << " seed=" << seed;
-        }
+  for (const std::size_t k : {4u, 12u}) {
+    CandidateOptions options;
+    options.k = k;
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+      const std::vector<geom::Point> base_points = random_points(120, seed);
+      const CandidateGraph base = CandidateGraph::build(base_points, options);
+      const PatchedPoints patch = make_patch(base_points, seed + 100);
+      const CandidateGraph repaired =
+          CandidateGraph::repair(base, patch.points, patch.remap, options);
+      const CandidateGraph fresh = CandidateGraph::build(patch.points, options);
+      ASSERT_EQ(repaired.size(), fresh.size());
+      ASSERT_EQ(repaired.k(), fresh.k());
+      for (std::size_t i = 0; i < fresh.size(); ++i) {
+        const auto a = repaired.neighbors(i);
+        const auto b = fresh.neighbors(i);
+        ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+            << "row " << i << " k=" << k << " seed=" << seed;
       }
     }
   }
@@ -125,9 +121,21 @@ std::vector<std::size_t> spanned_sensors(const QRootedForest& forest,
   return out;
 }
 
+/// `m` collinear sensors in reverse index order next to depot 0, so the
+/// MSF is one deep chain in which every parent outnumbers its child.
+QRootedInstance deep_chain_instance(std::size_t m, std::size_t q) {
+  QRootedInstance instance = random_instance(0, q, 77);
+  instance.depots[0] = {0.0, 500.0};
+  for (std::size_t k = 0; k < m; ++k)
+    instance.sensors.push_back({static_cast<double>(m - k), 500.0});
+  return instance;
+}
+
 TEST(MsfRepair, AllDirtyEqualsDenseRebuild) {
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    const QRootedInstance instance = random_instance(80, 3, seed);
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    const QRootedInstance instance = seed <= 4
+                                         ? random_instance(80, 3, seed)
+                                         : deep_chain_instance(200, 3);
     const QRootedForest base = q_rooted_msf(instance);
 
     MsfRepairPlan plan;
@@ -139,8 +147,56 @@ TEST(MsfRepair, AllDirtyEqualsDenseRebuild) {
     EXPECT_EQ(stats.rebuilt_trees + stats.reused_trees, instance.q());
     EXPECT_EQ(stats.reused_trees, 0u);
     ASSERT_EQ(stats.tree_changed.size(), instance.q());
+    for (std::size_t l = 0; l < instance.q(); ++l)
+      EXPECT_EQ(repaired.trees[l].nodes(), base.trees[l].nodes())
+          << "tree " << l << " seed " << seed;
   }
 }
+
+/// The candidate-pruned full MSF is the repair core run over every
+/// sensor with no clean trees, so the two must agree byte for byte.
+class MergedMsfCore
+    : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {
+};
+
+TEST_P(MergedMsfCore, PrunedMsfEqualsAllDirtyRepairOfEmptyBase) {
+  const auto [n, q] = GetParam();
+  const QRootedInstance instance = random_instance(n, q, 500 + n + q);
+  const DistanceOracle oracle(instance.depots, instance.sensors);
+  const auto combined = instance.points().materialize();
+  const CandidateGraph graph = CandidateGraph::build(combined);
+  ASSERT_FALSE(graph.complete());
+
+  const QRootedForest full = q_rooted_msf(oracle.view(), q, &graph);
+
+  QRootedForest empty;
+  for (std::size_t l = 0; l < q; ++l)
+    empty.trees.emplace_back(l, std::span<const graph::Edge>{});
+  MsfRepairPlan plan;
+  plan.tree_dirty.assign(q, 1);
+  for (std::size_t v = q; v < q + n; ++v) plan.extra_sensors.push_back(v);
+  const QRootedForest repaired =
+      repair_q_rooted_msf(oracle.view(), q, empty, plan, &graph);
+
+  ASSERT_EQ(repaired.trees.size(), full.trees.size());
+  for (std::size_t l = 0; l < q; ++l) {
+    const auto& a = full.trees[l].edges();
+    const auto& b = repaired.trees[l].edges();
+    ASSERT_EQ(a.size(), b.size()) << "tree " << l;
+    for (std::size_t e = 0; e < a.size(); ++e) {
+      EXPECT_EQ(a[e].u, b[e].u) << "tree " << l << " edge " << e;
+      EXPECT_EQ(a[e].v, b[e].v) << "tree " << l << " edge " << e;
+      EXPECT_EQ(a[e].w, b[e].w) << "tree " << l << " edge " << e;
+    }
+  }
+  EXPECT_EQ(full.total_weight, repaired.total_weight);  // bit-exact
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, MergedMsfCore,
+    ::testing::Combine(::testing::Values(std::size_t{100}, std::size_t{800}),
+                       ::testing::Values(std::size_t{1}, std::size_t{3},
+                                         std::size_t{10})));
 
 TEST(MsfRepair, LocalPatchSpansEverySensorAndKeepsCleanTrees) {
   const QRootedInstance base_instance = random_instance(100, 4, 9);
