@@ -25,19 +25,11 @@
 #include "svc/plan_cache.hpp"
 #include "svc/wire.hpp"
 #include "util/cli.hpp"
+#include "util/stats.hpp"
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-double median(std::vector<double> samples) {
-  if (samples.empty()) return 0.0;
-  std::sort(samples.begin(), samples.end());
-  const std::size_t mid = samples.size() / 2;
-  return samples.size() % 2 == 1
-             ? samples[mid]
-             : 0.5 * (samples[mid - 1] + samples[mid]);
-}
 
 std::vector<std::size_t> parse_list(const std::string& spec) {
   std::vector<std::size_t> out;
@@ -100,7 +92,9 @@ int main(int argc, char** argv) {
         failed = true;
       }
     }
-    const double cold_p50 = median(cold_ms);
+    std::sort(cold_ms.begin(), cold_ms.end());
+    const double cold_p50 =
+        cold_ms.empty() ? 0.0 : mwc::quantile_sorted(cold_ms, 0.5);
 
     // Base plan for the delta stream.
     mwc::svc::PlanCache cache(1024);
@@ -134,7 +128,9 @@ int main(int argc, char** argv) {
         if (!response.ok) ++errors;
       }
       failed = failed || errors > 0;
-      const double delta_p50 = median(delta_ms);
+      std::sort(delta_ms.begin(), delta_ms.end());
+      const double delta_p50 =
+          delta_ms.empty() ? 0.0 : mwc::quantile_sorted(delta_ms, 0.5);
       const double speedup = delta_p50 > 0.0 ? cold_p50 / delta_p50 : 0.0;
       std::printf("n=%-5zu patch=%-3zu cold p50 %9.3f ms  delta p50 "
                   "%8.3f ms  speedup %7.1fx  (%zu errors)\n",

@@ -7,14 +7,14 @@
 // polish over a warm oracle-backed view (MWC_OBS_SCOPE spans, probe-count
 // flushes, gauge adds) — plus one Simulator::run over the same network
 // (per-dispatch counters + the residual-margin histogram), plus the
-// service warm-request path: cache-hit requests over a socketpair to an
-// mwcd-style serve loop, measured plain and then with the full
-// observability plane active (client trace id on the wire, per-stage
-// timing echo, access log). Built
+// service warm-request path: cache-hit requests over a socketpair served
+// by svc::NetServer (the serve loop mwcd runs), measured plain and then
+// with the full observability plane active (client trace id on the wire,
+// per-stage timing echo, access log). Built
 // twice by scripts/bench_obs.sh, once with -DMWC_OBS=ON and once with
 // -DMWC_OBS=OFF, the two --json outputs quantify the telemetry overhead
-// (budget: within 2%, 3% for the traced service path); the merged result
-// is committed as BENCH_obs.json.
+// (budget: within 2%, 3% for the traced service path); the script merges
+// several runs of each and the result is committed as BENCH_obs.json.
 //
 // The JSON records which configuration produced it ("obs_enabled") so the
 // merge script can't mix the arms up.
@@ -26,7 +26,6 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -36,52 +35,24 @@
 #include "obs/obs.hpp"
 #include "sim/simulator.hpp"
 #include "svc/access_log.hpp"
+#include "svc/event_loop.hpp"
 #include "svc/server.hpp"
 #include "svc/wire.hpp"
 #include "tsp/oracle.hpp"
 #include "tsp/qrooted.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 #include "util/timer.hpp"
 #include "wsn/deployment.hpp"
 
 namespace {
 
-/// mwcd-style dispatch loop over one connection: split `fd`'s byte
-/// stream into JSONL lines, submit each, write response lines back
-/// under a mutex. Returns when the peer half-closes.
-void serve_fd(mwc::svc::Server& server, int fd) {
-  std::mutex write_mutex;
-  std::string pending;
-  char buf[1 << 16];
-  for (;;) {
-    const ssize_t n = ::read(fd, buf, sizeof buf);
-    if (n <= 0) break;
-    pending.append(buf, static_cast<std::size_t>(n));
-    std::size_t start = 0;
-    std::size_t newline;
-    while ((newline = pending.find('\n', start)) != std::string::npos) {
-      const std::string line = pending.substr(start, newline - start);
-      start = newline + 1;
-      if (line.empty()) continue;
-      server.submit_line(
-          line,
-          [fd, &write_mutex](const mwc::svc::Response& response) {
-            const std::string out = mwc::svc::to_jsonl(response);
-            std::lock_guard<std::mutex> lock(write_mutex);
-            (void)!::write(fd, out.data(), out.size());
-          },
-          "bench");
-    }
-    pending.erase(0, start);
-  }
-}
-
 /// One arm of the service comparison: an in-process server behind a
-/// socketpair running an mwcd-style serve loop, so every round trip
-/// pays what a daemon client pays — socket write, line split, wire
-/// parse, queue, cache probe, response serialization, socket read —
-/// minus only the network.
+/// socketpair whose far end svc::NetServer serves, so every round trip
+/// pays what a daemon client pays — socket write, epoll wakeup, line
+/// split, wire parse, queue, cache probe, response serialization,
+/// reorder, socket read — minus only the network.
 class SvcArm {
  public:
   SvcArm(bool traced, std::size_t n, std::size_t q,
@@ -98,20 +69,22 @@ class SvcArm {
     options.cache_capacity = 4;
     if (traced) options.access_log = &log_;
     server_ = std::make_unique<svc::Server>(options);
+    net_ = std::make_unique<svc::NetServer>(*server_, nullptr);
 
-    ok_ = ::socketpair(AF_UNIX, SOCK_STREAM, 0, fds_) == 0;
+    ok_ = ::socketpair(AF_UNIX, SOCK_STREAM, 0, fds_) == 0 &&
+          net_->start_fds(fds_[1], fds_[1]);
     if (!ok_) return;
-    serve_thread_ = std::thread(
-        [server = server_.get(), fd = fds_[1]] { serve_fd(*server, fd); });
+    serve_thread_ = std::thread([net = net_.get()] { net->run(); });
   }
 
   ~SvcArm() {
-    if (!ok_) return;
-    ::shutdown(fds_[0], SHUT_WR);  // serve loop sees EOF and returns
-    serve_thread_.join();
-    ::close(fds_[1]);
-    ::close(fds_[0]);
-    server_->shutdown();
+    if (ok_) {
+      ::shutdown(fds_[0], SHUT_WR);  // EOF: the loop drains and returns
+      serve_thread_.join();
+    }
+    net_.reset();  // drains the server before it goes
+    for (const int fd : fds_)
+      if (fd >= 0) ::close(fd);
   }
 
   bool ok() const { return ok_; }
@@ -137,6 +110,7 @@ class SvcArm {
  private:
   mwc::svc::AccessLog log_;
   std::unique_ptr<mwc::svc::Server> server_;
+  std::unique_ptr<mwc::svc::NetServer> net_;
   std::string line_;
   int fds_[2] = {-1, -1};
   bool ok_ = false;
@@ -255,19 +229,8 @@ int main(int argc, char** argv) {
   const double svc_traced_us = svc_us[1];
   std::remove(access_path.c_str());
 
-  const auto min_of = [](const std::vector<double>& v) {
-    double m = v.front();
-    for (double t : v) m = std::min(m, t);
-    return m;
-  };
-  const auto mean_of = [](const std::vector<double>& v) {
-    double s = 0.0;
-    for (double t : v) s += t;
-    return s / static_cast<double>(v.size());
-  };
-
-  const double tour_ms = min_of(tour_times);
-  const double sim_ms = min_of(sim_times);
+  const double tour_ms = std::ranges::min(tour_times);
+  const double sim_ms = std::ranges::min(sim_times);
   std::printf("micro_obs: n=%zu q=%zu reps=%zu obs_enabled=%d\n", n, q,
               reps, MWC_OBS_ENABLED);
   std::printf("  q_rooted_tsp+improve %9.3f ms/rep (min; mean %.3f)\n",

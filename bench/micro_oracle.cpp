@@ -31,6 +31,7 @@
 #include "tsp/qrooted.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
@@ -117,18 +118,8 @@ int main(int argc, char** argv) {
     cached_times.assign(reps, 0.0);
   }
 
-  const auto min_of = [](const std::vector<double>& v) {
-    double m = v.front();
-    for (double t : v) m = std::min(m, t);
-    return m;
-  };
-  const auto mean_of = [](const std::vector<double>& v) {
-    double s = 0.0;
-    for (double t : v) s += t;
-    return s / static_cast<double>(v.size());
-  };
-  const double cold_ms = min_of(cold_times);
-  const double cached_ms = min_of(cached_times);
+  const double cold_ms = std::ranges::min(cold_times);
+  const double cached_ms = std::ranges::min(cached_times);
   const double cold_mean_ms = mean_of(cold_times);
   const double cached_mean_ms = mean_of(cached_times);
 

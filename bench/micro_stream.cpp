@@ -31,19 +31,11 @@
 #include "svc/session.hpp"
 #include "svc/wire.hpp"
 #include "util/cli.hpp"
+#include "util/stats.hpp"
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-double quantile(std::vector<double> samples, double q) {
-  if (samples.empty()) return 0.0;
-  std::sort(samples.begin(), samples.end());
-  const double pos = q * double(samples.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, samples.size() - 1);
-  return samples[lo] + (pos - double(lo)) * (samples[hi] - samples[lo]);
-}
 
 std::vector<std::size_t> parse_list(const std::string& spec) {
   std::vector<std::size_t> out;
@@ -152,7 +144,9 @@ int main(int argc, char** argv) {
         failed = true;
       }
     }
-    const double cold_p50 = quantile(cold_ms, 0.5);
+    std::sort(cold_ms.begin(), cold_ms.end());
+    const double cold_p50 =
+        cold_ms.empty() ? 0.0 : mwc::quantile_sorted(cold_ms, 0.5);
 
     mwc::svc::ServerOptions server_options;
     server_options.threads = 2;
@@ -231,8 +225,11 @@ int main(int argc, char** argv) {
     }
     failed = failed || push_failures > 0 || replan_ms.empty();
 
-    const double replan_p50 = quantile(replan_ms, 0.5);
-    const double replan_p95 = quantile(replan_ms, 0.95);
+    std::sort(replan_ms.begin(), replan_ms.end());
+    const double replan_p50 =
+        replan_ms.empty() ? 0.0 : mwc::quantile_sorted(replan_ms, 0.5);
+    const double replan_p95 =
+        replan_ms.empty() ? 0.0 : mwc::quantile_sorted(replan_ms, 0.95);
     const double speedup = replan_p50 > 0.0 ? cold_p50 / replan_p50 : 0.0;
     // The manager counts a push *after* the client callback returns;
     // give the last worker a beat to finish bookkeeping.

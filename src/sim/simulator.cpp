@@ -315,8 +315,10 @@ SimResult Simulator::run(charging::Policy& policy) {
       MWC_OBS_HISTOGRAM("sim.residual_margin", dispatch_margin, 0.5, 1.0,
                         2.0, 5.0, 10.0, 20.0, 50.0);
       policy.on_dispatch_executed(view, *dispatch);
-      MWC_ASSERT_MSG(result.num_dispatches <= options_.max_dispatches,
-                     "dispatch cap exceeded (runaway policy?)");
+      if (result.num_dispatches > options_.max_dispatches)
+        throw DispatchCapError(
+            "dispatch cap of " + std::to_string(options_.max_dispatches) +
+            " exceeded (runaway policy, or horizon too long for the cycles)");
       continue;
     }
 

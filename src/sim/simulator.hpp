@@ -21,6 +21,7 @@
 #include <memory>
 #include <mutex>
 #include <span>
+#include <stdexcept>
 #include <unordered_map>
 #include <vector>
 
@@ -35,6 +36,14 @@
 #include "wsn/network.hpp"
 
 namespace mwc::sim {
+
+/// Thrown by Simulator::run when a run exceeds SimOptions::max_dispatches
+/// (a runaway policy, or a horizon too long for the cycles), so no
+/// request can turn the cap into an abort().
+class DispatchCapError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
 
 struct SimOptions {
   double horizon = 1000.0;     ///< monitoring period T
@@ -60,7 +69,8 @@ struct SimOptions {
   /// Record every executed dispatch into SimResult::dispatch_log (for
   /// replay validation and debugging).
   bool record_dispatches = false;
-  /// Hard cap on dispatches (guards against a runaway policy).
+  /// Hard cap on dispatches (guards against a runaway policy); exceeding
+  /// it throws DispatchCapError.
   std::size_t max_dispatches = 10'000'000;
 };
 

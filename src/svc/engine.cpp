@@ -299,6 +299,10 @@ Response handle_request(const Request& request, PlanCache* cache,
     response.plan = std::move(plan);
     response.latency_ms = elapsed_ms();
     return response;
+  } catch (const sim::DispatchCapError& e) {
+    // The request asked for more rounds than the simulator will run.
+    return with_version(error_response(request.id, ErrorCode::kBadRequest,
+                                       e.what(), elapsed_ms()));
   } catch (const std::exception& e) {
     return with_version(error_response(request.id, ErrorCode::kInternal,
                                        e.what(), elapsed_ms()));

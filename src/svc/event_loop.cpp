@@ -9,8 +9,11 @@
 #include <utility>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <pthread.h>
+#include <signal.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -23,19 +26,41 @@ namespace mwc::svc {
 
 namespace {
 using SteadyClock = std::chrono::steady_clock;
-}
+
+// epoll user data: connections register under their token (>= 1).
+constexpr std::uint64_t kListenToken = 0;
+constexpr std::uint64_t kWakeToken = ~std::uint64_t{0};
+
+// Per-turn work bound for one connection's input: at most one read
+// chunk and at most this many lines (a line can cost a parse and a
+// thrown error, so bytes alone do not bound the work).
+constexpr std::size_t kReadChunk = 65536;
+constexpr std::size_t kLinesPerTurn = 256;
+
+}  // namespace
 
 /// Per-connection state. The loop thread owns everything except `done`
 /// and `closed`, which workers touch under `mutex`.
 struct NetServer::Conn {
-  int fd = -1;
+  int in_fd = -1;   ///< -1 once closed
+  int out_fd = -1;  ///< equals in_fd for a socket
   std::uint64_t token = 0;  ///< stable id handed to the StreamHub
-  std::string in;   ///< unparsed input tail
+  /// An accepted socket (closed with the connection); false for the
+  /// start_fds() pair, handed back open with `in_flags`/`out_flags`.
+  bool owns_fds = true;
+  int in_flags = 0;
+  int out_flags = 0;
+  /// On `more_input_`: input may be waiting that no epoll edge will
+  /// announce (the read budget ran out, or in_fd is a regular file).
+  bool input_pending = false;
+  std::string in;   ///< input not yet split into lines
+  std::size_t scanned = 0;  ///< prefix of `in` known to hold no newline
   std::string out;  ///< in-order response bytes awaiting the socket
   std::size_t out_pos = 0;  ///< flushed prefix of `out`
   /// Responses completed out of order, parked until every earlier
   /// sequence number has flushed.
   std::map<std::uint64_t, std::string> ready;
+  std::size_t ready_bytes = 0;   ///< total size of `ready`
   std::uint64_t next_seq = 0;    ///< sequence of the next inbound line
   std::uint64_t next_flush = 0;  ///< sequence owed to the client next
   bool half_closed = false;      ///< peer sent EOF; flush then close
@@ -49,6 +74,20 @@ struct NetServer::Conn {
   /// Server-initiated lines (no sequence number); drained into `out`
   /// between in-order flushes.
   std::vector<std::string> pushed;
+
+  /// Leaves epoll and gives the fds back (see `owns_fds`).
+  void release(int epoll_fd) {
+    if (in_fd < 0) return;
+    ::epoll_ctl(epoll_fd, EPOLL_CTL_DEL, in_fd, nullptr);
+    if (owns_fds) {
+      ::close(in_fd);
+    } else {
+      ::epoll_ctl(epoll_fd, EPOLL_CTL_DEL, out_fd, nullptr);
+      ::fcntl(out_fd, F_SETFL, out_flags);
+      ::fcntl(in_fd, F_SETFL, in_flags);
+    }
+    in_fd = out_fd = -1;
+  }
 };
 
 NetServer::NetServer(Server& server, const AdminHandler* admin,
@@ -62,10 +101,7 @@ NetServer::~NetServer() {
   // Drain the solver first: after shutdown() no worker callback can run,
   // so tearing down connection state below cannot race one.
   server_.shutdown();
-  for (auto& [fd, conn] : conns_) {
-    if (conn->fd >= 0) ::close(conn->fd);
-    conn->fd = -1;
-  }
+  for (auto& [token, conn] : conns_) conn->release(epoll_fd_);
   conns_.clear();
   const int wfd = wake_fd_.exchange(-1);
   if (wfd >= 0) ::close(wfd);
@@ -73,7 +109,30 @@ NetServer::~NetServer() {
   if (listen_fd_ >= 0) ::close(listen_fd_);
 }
 
+bool NetServer::init_loop() {
+  if (epoll_fd_ >= 0) return true;
+  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  const int wfd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (epoll_fd_ < 0 || wfd < 0) {
+    std::perror("epoll_create1/eventfd");
+    if (wfd >= 0) ::close(wfd);
+    return false;
+  }
+  wake_fd_.store(wfd, std::memory_order_release);
+  // Level-triggered on purpose: an unread wake count must keep the loop
+  // from blocking (request_stop can fire between drain and wait).
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.u64 = kWakeToken;
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wfd, &ev) < 0) {
+    std::perror("epoll_ctl wake");
+    return false;
+  }
+  return true;
+}
+
 bool NetServer::start() {
+  if (!init_loop()) return false;
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
                         0);
   if (listen_fd_ < 0) {
@@ -101,30 +160,63 @@ bool NetServer::start() {
                     &bound_len) == 0)
     bound_port_ = ntohs(bound.sin_port);
 
-  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-  const int wfd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (epoll_fd_ < 0 || wfd < 0) {
-    std::perror("epoll_create1/eventfd");
-    if (wfd >= 0) ::close(wfd);
-    return false;
-  }
-  wake_fd_.store(wfd, std::memory_order_release);
-
   epoll_event ev{};
   ev.events = EPOLLIN | EPOLLET;
-  ev.data.fd = listen_fd_;
+  ev.data.u64 = kListenToken;
   if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev) < 0) {
     std::perror("epoll_ctl listen");
     return false;
   }
-  // Level-triggered on purpose: an unread wake count must keep the loop
-  // from blocking (request_stop can fire between drain and wait).
-  ev.events = EPOLLIN;
-  ev.data.fd = wfd;
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wfd, &ev) < 0) {
-    std::perror("epoll_ctl wake");
+  return true;
+}
+
+bool NetServer::start_fds(int in_fd, int out_fd) {
+  if (!init_loop()) return false;
+  auto conn = std::make_shared<Conn>();
+  conn->in_fd = in_fd;
+  conn->out_fd = out_fd;
+  conn->token = next_conn_token_++;
+  conn->owns_fds = false;
+  // Read both flag words before setting either: fds 0 and 1 often share
+  // one open file description (a tty).
+  conn->in_flags = ::fcntl(in_fd, F_GETFL);
+  conn->out_flags = ::fcntl(out_fd, F_GETFL);
+  if (conn->in_flags < 0 || conn->out_flags < 0) {
+    std::perror("fcntl");
     return false;
   }
+  ::fcntl(in_fd, F_SETFL, conn->in_flags | O_NONBLOCK);
+  ::fcntl(out_fd, F_SETFL, conn->out_flags | O_NONBLOCK);
+  if (!add_conn(conn)) {
+    std::perror("epoll_ctl");
+    conn->release(epoll_fd_);
+    return false;
+  }
+  return true;
+}
+
+bool NetServer::add_conn(const std::shared_ptr<Conn>& conn) {
+  conn->last_activity = SteadyClock::now();
+  epoll_event ev{};
+  ev.events = EPOLLIN | EPOLLRDHUP | EPOLLET;
+  ev.data.u64 = conn->token;
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, conn->in_fd, &ev) < 0) {
+    // EPERM: a regular file, always readable and never announced —
+    // it starts (and stays until EOF) on the pending-input list.
+    if (errno != EPERM) return false;
+    mark_input_pending(conn);
+  }
+  if (conn->out_fd != conn->in_fd) {
+    // No interest until a write backs up (set_epollout); EPERM again
+    // means a file, whose writes never block.
+    ev.events = EPOLLET;
+    ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, conn->out_fd, &ev);
+  }
+  conns_.emplace(conn->token, conn);
+  accepted_.fetch_add(1, std::memory_order_relaxed);
+  MWC_OBS_COUNT("svc.net.accepted");
+  MWC_OBS_GAUGE_SET("svc.net.connections",
+                    static_cast<double>(conns_.size()));
   return true;
 }
 
@@ -171,21 +263,10 @@ void NetServer::handle_accept() {
       ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     }
     auto conn = std::make_shared<Conn>();
-    conn->fd = fd;
+    conn->in_fd = fd;
+    conn->out_fd = fd;
     conn->token = next_conn_token_++;
-    conn->last_activity = SteadyClock::now();
-    epoll_event ev{};
-    ev.events = EPOLLIN | EPOLLRDHUP | EPOLLET;
-    ev.data.fd = fd;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) < 0) {
-      ::close(fd);
-      continue;
-    }
-    conns_.emplace(fd, std::move(conn));
-    accepted_.fetch_add(1, std::memory_order_relaxed);
-    MWC_OBS_COUNT("svc.net.accepted");
-    MWC_OBS_GAUGE_SET("svc.net.connections",
-                      static_cast<double>(conns_.size()));
+    if (!add_conn(conn)) ::close(fd);
   }
 }
 
@@ -214,7 +295,7 @@ void NetServer::process_line(const std::shared_ptr<Conn>& conn,
                                       &streaming);
       conn->streaming = streaming;
     }
-    conn->ready.emplace(seq, std::move(reply));
+    park(conn, seq, std::move(reply));
     return;
   }
 
@@ -223,7 +304,7 @@ void NetServer::process_line(const std::shared_ptr<Conn>& conn,
   if (admin_ != nullptr) {
     std::string admin_response;
     if (admin_->try_handle(line, &admin_response)) {
-      conn->ready.emplace(seq, std::move(admin_response));
+      park(conn, seq, std::move(admin_response));
       return;
     }
   }
@@ -249,72 +330,118 @@ void NetServer::process_line(const std::shared_ptr<Conn>& conn,
       wake();
     }
   };
-  server_.submit_line(line, std::move(callback), "tcp");
+  server_.submit_line(line, std::move(callback),
+                      conn->owns_fds ? "tcp" : "stdio");
+}
+
+std::size_t NetServer::split_lines(const std::shared_ptr<Conn>& conn,
+                                   std::size_t lines_left) {
+  std::string& in = conn->in;
+  std::size_t start = 0;
+  std::size_t nl = conn->scanned;
+  while (lines_left > 0 && (nl = in.find('\n', nl)) != std::string::npos) {
+    std::string line = in.substr(start, nl - start);
+    start = ++nl;
+    --lines_left;
+    while (!line.empty() && line.back() == '\r') line.pop_back();
+    if (line.empty() || stopping_) continue;  // stop: no new admissions
+    process_line(conn, std::move(line));
+  }
+  in.erase(0, start);
+  // Out of lines: the rest is unscanned. Otherwise it holds no newline.
+  conn->scanned = lines_left == 0 ? 0 : in.size();
+  return lines_left;
 }
 
 void NetServer::read_input(const std::shared_ptr<Conn>& conn) {
-  // Edge-triggered: drain the socket completely.
-  char buffer[65536];
-  for (;;) {
-    const ssize_t got = ::read(conn->fd, buffer, sizeof buffer);
-    if (got > 0) {
+  // Edge-triggered: read until EAGAIN or EOF, but within one turn's
+  // budget (kReadChunk bytes, kLinesPerTurn lines). A connection that
+  // used it up waits on the pending-input list for the next turn, and
+  // lines it could not take yet stay in `in`; so one peer that writes
+  // without pause cannot keep the loop from other connections, from
+  // completions or from a stop.
+  std::size_t lines_left = split_lines(conn, kLinesPerTurn);
+  char buffer[kReadChunk];
+  std::size_t budget = sizeof buffer;
+  while (lines_left > 0 && budget > 0 && !conn->half_closed) {
+    const ssize_t got = ::read(conn->in_fd, buffer, budget);
+    if (got < 0) {
+      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+      if (errno == EINTR) continue;
+      close_conn(conn, "read error");
+      return;
+    }
+    if (got == 0) {
+      conn->half_closed = true;
+      // EOF ends a final unterminated line.
+      if (!conn->in.empty()) conn->in.push_back('\n');
+    } else {
       bytes_read_.fetch_add(static_cast<std::uint64_t>(got),
                             std::memory_order_relaxed);
       MWC_OBS_COUNT_N("svc.net.bytes_read", static_cast<std::uint64_t>(got));
       conn->in.append(buffer, static_cast<std::size_t>(got));
       conn->last_activity = SteadyClock::now();
-      if (conn->in.size() > options_.max_buffered_bytes) {
-        overflow_closed_.fetch_add(1, std::memory_order_relaxed);
-        MWC_OBS_COUNT("svc.net.overflow_closed");
-        close_conn(conn, "input overflow");
-        return;
-      }
-      continue;
+      budget -= static_cast<std::size_t>(got);
     }
-    if (got == 0) {
-      conn->half_closed = true;
-      break;
+    // Split per chunk, so the guard bounds one unterminated line, not a
+    // whole burst or a whole input file.
+    lines_left = split_lines(conn, lines_left);
+    if (lines_left > 0 && conn->in.size() > options_.max_buffered_bytes) {
+      overflow_closed_.fetch_add(1, std::memory_order_relaxed);
+      MWC_OBS_COUNT("svc.net.overflow_closed");
+      close_conn(conn, "input overflow");
+      return;
     }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    if (errno == EINTR) continue;
-    close_conn(conn, "read error");
-    return;
   }
-
-  std::size_t start = 0;
-  for (;;) {
-    const std::size_t nl = conn->in.find('\n', start);
-    if (nl == std::string::npos) break;
-    std::string line = conn->in.substr(start, nl - start);
-    start = nl + 1;
-    while (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty() || stopping_) continue;  // stop: no new admissions
-    process_line(conn, std::move(line));
-  }
-  conn->in.erase(0, start);
-  // EOF ends a final unterminated line, matching the stdio transport.
-  if (conn->half_closed && !conn->in.empty()) {
-    std::string line = std::move(conn->in);
-    conn->in.clear();
-    while (!line.empty() && (line.back() == '\r' || line.back() == '\n'))
-      line.pop_back();
-    if (!line.empty() && !stopping_) process_line(conn, std::move(line));
-  }
+  if (lines_left == 0 || budget == 0) mark_input_pending(conn);
   pump(conn);
 }
 
+void NetServer::mark_input_pending(const std::shared_ptr<Conn>& conn) {
+  if (conn->input_pending) return;
+  conn->input_pending = true;
+  more_input_.push_back(conn);
+}
+
+void NetServer::read_pending_input() {
+  // Each connection gets one more turn's budget; read_input() puts it
+  // back if that ran out again. A stop drops the list: no new admissions.
+  std::vector<std::shared_ptr<Conn>> batch;
+  batch.swap(more_input_);
+  for (const auto& conn : batch) {
+    conn->input_pending = false;
+    if (conn->in_fd >= 0 && !stopping_) read_input(conn);
+  }
+}
+
+void NetServer::park(const std::shared_ptr<Conn>& conn, std::uint64_t seq,
+                     std::string line) {
+  conn->ready_bytes += line.size();
+  conn->ready.emplace(seq, std::move(line));
+}
+
+void NetServer::set_epollout(const std::shared_ptr<Conn>& conn, bool on) {
+  // A socket carries input interest on the same registration.
+  epoll_event ev{};
+  ev.events = EPOLLET | (on ? EPOLLOUT : 0u) |
+              (conn->out_fd == conn->in_fd ? EPOLLIN | EPOLLRDHUP : 0u);
+  ev.data.u64 = conn->token;
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->out_fd, &ev) == 0)
+    conn->epollout = on;
+}
+
 void NetServer::pump(const std::shared_ptr<Conn>& conn) {
-  if (conn->fd < 0) return;
+  if (conn->in_fd < 0) return;
   {
     std::lock_guard<std::mutex> lock(conn->mutex);
-    for (auto& [seq, line] : conn->done)
-      conn->ready.emplace(seq, std::move(line));
+    for (auto& [seq, line] : conn->done) park(conn, seq, std::move(line));
     conn->done.clear();
   }
   // Release responses strictly in request order.
   auto it = conn->ready.begin();
   while (it != conn->ready.end() && it->first == conn->next_flush) {
     conn->out += it->second;
+    conn->ready_bytes -= it->second.size();
     it = conn->ready.erase(it);
     ++conn->next_flush;
     responses_.fetch_add(1, std::memory_order_relaxed);
@@ -333,17 +460,13 @@ void NetServer::pump(const std::shared_ptr<Conn>& conn) {
     }
     for (std::string& line : pushed) conn->out += line;
   }
-  if (conn->out.size() - conn->out_pos > options_.max_buffered_bytes) {
-    overflow_closed_.fetch_add(1, std::memory_order_relaxed);
-    MWC_OBS_COUNT("svc.net.overflow_closed");
-    close_conn(conn, "output overflow");
-    return;
-  }
 
   while (conn->out_pos < conn->out.size()) {
+    // write(), not send(): the output may be a pipe or a file. SIGPIPE
+    // is blocked on the loop thread (run()), so a gone reader is EPIPE.
     const ssize_t wrote =
-        ::send(conn->fd, conn->out.data() + conn->out_pos,
-               conn->out.size() - conn->out_pos, MSG_NOSIGNAL);
+        ::write(conn->out_fd, conn->out.data() + conn->out_pos,
+                conn->out.size() - conn->out_pos);
     if (wrote > 0) {
       bytes_written_.fetch_add(static_cast<std::uint64_t>(wrote),
                                std::memory_order_relaxed);
@@ -354,37 +477,34 @@ void NetServer::pump(const std::shared_ptr<Conn>& conn) {
       continue;
     }
     if (wrote < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      if (!conn->epollout) {
-        epoll_event ev{};
-        ev.events = EPOLLIN | EPOLLRDHUP | EPOLLET | EPOLLOUT;
-        ev.data.fd = conn->fd;
-        if (::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev) == 0)
-          conn->epollout = true;
-      }
+      if (!conn->epollout) set_epollout(conn, true);
       break;
     }
     if (wrote < 0 && errno == EINTR) continue;
     close_conn(conn, "write error");
     return;
   }
+  // The output guard counts every owed byte the peer has not taken:
+  // unflushed output plus responses parked behind an unfinished one.
+  if (conn->out.size() - conn->out_pos + conn->ready_bytes >
+      options_.max_buffered_bytes) {
+    overflow_closed_.fetch_add(1, std::memory_order_relaxed);
+    MWC_OBS_COUNT("svc.net.overflow_closed");
+    close_conn(conn, "output overflow");
+    return;
+  }
   if (conn->out_pos == conn->out.size()) {
     conn->out.clear();
     conn->out_pos = 0;
-    if (conn->epollout) {
-      epoll_event ev{};
-      ev.events = EPOLLIN | EPOLLRDHUP | EPOLLET;
-      ev.data.fd = conn->fd;
-      if (::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev) == 0)
-        conn->epollout = false;
-    }
+    if (conn->epollout) set_epollout(conn, false);
   } else if (conn->out_pos > (1u << 20)) {
     conn->out.erase(0, conn->out_pos);  // compact a long flushed prefix
     conn->out_pos = 0;
   }
 
   // Finished: every line answered and flushed, and no more input coming.
-  if ((conn->half_closed || stopping_) && conn->out_pos == conn->out.size() &&
-      conn->next_flush == conn->next_seq)
+  if (((conn->half_closed && conn->in.empty()) || stopping_) &&
+      conn->out_pos == conn->out.size() && conn->next_flush == conn->next_seq)
     close_conn(conn, "done");
 }
 
@@ -415,11 +535,8 @@ bool NetServer::push_line(const std::shared_ptr<Conn>& conn,
 
 void NetServer::close_conn(const std::shared_ptr<Conn>& conn,
                            const char* /*reason*/) {
-  if (conn->fd < 0) return;
-  const int fd = conn->fd;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
-  ::close(fd);
-  conn->fd = -1;
+  if (conn->in_fd < 0) return;
+  conn->release(epoll_fd_);
   {
     std::lock_guard<std::mutex> lock(conn->mutex);
     conn->closed = true;
@@ -427,11 +544,12 @@ void NetServer::close_conn(const std::shared_ptr<Conn>& conn,
     conn->pushed.clear();
   }
   conn->ready.clear();
+  conn->ready_bytes = 0;
   if (conn->streaming && sessions_ != nullptr) {
     conn->streaming = false;
     sessions_->drop_connection(conn->token);
   }
-  conns_.erase(fd);
+  conns_.erase(conn->token);
   closed_.fetch_add(1, std::memory_order_relaxed);
   MWC_OBS_COUNT("svc.net.closed");
   MWC_OBS_GAUGE_SET("svc.net.connections",
@@ -440,9 +558,11 @@ void NetServer::close_conn(const std::shared_ptr<Conn>& conn,
 
 void NetServer::handle_conn_event(const std::shared_ptr<Conn>& conn,
                                   std::uint32_t events) {
-  if ((events & (EPOLLIN | EPOLLRDHUP | EPOLLHUP | EPOLLERR)) != 0) {
+  // A connection on the pending-input list reads there, once per turn.
+  if ((events & (EPOLLIN | EPOLLRDHUP | EPOLLHUP | EPOLLERR)) != 0 &&
+      !conn->input_pending) {
     read_input(conn);
-    if (conn->fd < 0) return;
+    if (conn->in_fd < 0) return;
   }
   if ((events & EPOLLOUT) != 0) pump(conn);
 }
@@ -460,7 +580,7 @@ void NetServer::sweep_idle() {
   if (options_.idle_timeout_ms <= 0.0) return;
   const auto now = SteadyClock::now();
   std::vector<std::shared_ptr<Conn>> idle;
-  for (const auto& [fd, conn] : conns_) {
+  for (const auto& [token, conn] : conns_) {
     const double idle_ms =
         std::chrono::duration<double, std::milli>(now - conn->last_activity)
             .count();
@@ -494,26 +614,36 @@ void NetServer::begin_stop() {
   // is still in flight on the wire); connections owing nothing close now.
   std::vector<std::shared_ptr<Conn>> all;
   all.reserve(conns_.size());
-  for (const auto& [fd, conn] : conns_) all.push_back(conn);
+  for (const auto& [token, conn] : conns_) all.push_back(conn);
   for (const auto& conn : all) {
     conn->in.clear();
+    conn->scanned = 0;
     pump(conn);
   }
 }
 
 void NetServer::run() {
+  // SIGPIPE stays blocked on this thread while it runs: a write() to a
+  // peer that is gone then fails with EPIPE (closing that connection)
+  // instead of killing the process.
+  sigset_t sigpipe, old_mask;
+  sigemptyset(&sigpipe);
+  sigaddset(&sigpipe, SIGPIPE);
+  ::pthread_sigmask(SIG_BLOCK, &sigpipe, &old_mask);
   std::vector<epoll_event> events(128);
   for (;;) {
     if (stop_requested_.load(std::memory_order_acquire) && !stopping_)
       begin_stop();
-    if (stopping_ && conns_.empty()) break;
+    // No listener (stopped, or serving a start_fds() pair): done once
+    // the last connection has closed.
+    if (listen_fd_ < 0 && conns_.empty()) break;
     if (stopping_ && options_.drain_timeout_ms > 0.0 &&
         SteadyClock::now() >= drain_deadline_) {
       // Drain deadline: a peer that stopped reading holds unflushable
       // output forever — force-close so run() always returns.
       std::vector<std::shared_ptr<Conn>> rest;
       rest.reserve(conns_.size());
-      for (const auto& [fd, conn] : conns_) rest.push_back(conn);
+      for (const auto& [token, conn] : conns_) rest.push_back(conn);
       for (const auto& conn : rest) {
         drain_dropped_.fetch_add(1, std::memory_order_relaxed);
         MWC_OBS_COUNT("svc.net.drain_dropped");
@@ -528,6 +658,7 @@ void NetServer::run() {
                            10, 1000);
     if (stopping_ && options_.drain_timeout_ms > 0.0)
       timeout = timeout < 0 ? 50 : std::min(timeout, 50);
+    if (!more_input_.empty() && !stopping_) timeout = 0;
     const int n = ::epoll_wait(epoll_fd_, events.data(),
                                static_cast<int>(events.size()), timeout);
     if (n < 0) {
@@ -535,16 +666,17 @@ void NetServer::run() {
       break;
     }
     for (int i = 0; i < n; ++i) {
-      const int fd = events[static_cast<std::size_t>(i)].data.fd;
-      if (fd == wake_fd_.load(std::memory_order_acquire)) {
+      const std::uint64_t key = events[static_cast<std::size_t>(i)].data.u64;
+      if (key == kWakeToken) {
+        const int fd = wake_fd_.load(std::memory_order_acquire);
         std::uint64_t drained;
         while (::read(fd, &drained, sizeof drained) > 0) {
         }
         wake_pending_.store(false, std::memory_order_release);
-      } else if (fd == listen_fd_ && listen_fd_ >= 0) {
-        handle_accept();
+      } else if (key == kListenToken) {
+        if (listen_fd_ >= 0) handle_accept();
       } else {
-        const auto it = conns_.find(fd);
+        const auto it = conns_.find(key);
         if (it != conns_.end()) {
           // Copy out of the map: close_conn() inside the handler erases
           // this entry, which would destroy the shared_ptr a reference
@@ -554,9 +686,14 @@ void NetServer::run() {
         }
       }
     }
+    if (!more_input_.empty()) read_pending_input();
     drain_completions();
     sweep_idle();
   }
+  const timespec no_wait{};
+  while (::sigtimedwait(&sigpipe, nullptr, &no_wait) > 0) {
+  }  // discard a SIGPIPE a failed write left pending
+  ::pthread_sigmask(SIG_SETMASK, &old_mask, nullptr);
 }
 
 NetStats NetServer::stats() const {

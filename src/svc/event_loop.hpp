@@ -1,20 +1,34 @@
 // svc::NetServer — non-blocking epoll transport for the scheduling
-// service.
+// service, and its only serve loop.
 //
-// One event-loop thread serves every TCP connection: edge-triggered
-// epoll readiness, per-connection read/write buffers, and JSONL
-// pipelining — a client may write any number of requests back-to-back on
-// one socket and always receives the responses in request order, even
-// though solver workers complete out of order (each inbound line takes a
-// per-connection sequence number; completed responses park in a reorder
-// map until every earlier line has been flushed). Admin requests and
-// synchronous rejections (bad_request, queue_full, ...) join the same
-// sequence stream, so an error mid-pipeline never desyncs it.
+// One event-loop thread serves every connection: edge-triggered epoll
+// readiness, per-connection read/write buffers, and JSONL pipelining — a
+// client may write any number of requests back-to-back and always
+// receives the responses in request order, even though solver workers
+// complete out of order (each inbound line takes a per-connection
+// sequence number; completed responses park in a reorder map until every
+// earlier line has been flushed). Admin requests and synchronous
+// rejections (bad_request, queue_full, ...) join the same sequence
+// stream, so an error mid-pipeline never desyncs it. A loop turn takes
+// at most one read chunk and a few hundred lines from any connection, so
+// a peer that writes without pause cannot starve the others or a stop.
 //
-// Solve work still flows through svc::Server::submit_line, so admission
-// control, deadlines, and drain semantics are identical to the stdio
-// transport; worker completions serialize the response on the worker and
-// hand the bytes back to the loop through an eventfd wakeup.
+// A connection is either a TCP socket accepted from the listener
+// (start()) or a pre-opened fd pair served as one connection with no
+// listener (start_fds(): mwcd's stdin/stdout, or one end of a
+// socketpair). Both run the same read, line-split, reorder, admin,
+// StreamHub and push code; with no listener, run() returns once the pair
+// has drained and closed. Either end of a pair may be a pipe, a tty or a
+// regular file: an input epoll cannot watch is read a turn's budget at a
+// time, like any input that used its budget up, and the pair's
+// file-status flags are restored when it closes.
+// Output goes through write() with SIGPIPE blocked on the loop thread,
+// so a reader that is gone fails the write with EPIPE and closes the
+// connection.
+//
+// Solve work flows through svc::Server::submit_line; worker completions
+// serialize the response on the worker and hand the bytes back to the
+// loop through an eventfd wakeup.
 //
 // Shutdown is deterministic: request_stop() (async-signal-safe) wakes
 // the loop, which closes the listener, stops parsing new input, flushes
@@ -91,8 +105,9 @@ struct NetServerOptions {
   int backlog = 128;
   std::size_t max_connections = 1024;  ///< accepts beyond are closed
   double idle_timeout_ms = 0.0;        ///< 0 = never reap idle conns
-  /// Per-connection buffer guard (unparsed input or unflushed output);
-  /// a connection exceeding it is closed.
+  /// Per-connection buffer guard (one unterminated input line, or the
+  /// owed output the peer has not taken); a connection exceeding it is
+  /// closed.
   std::size_t max_buffered_bytes = 64 * 1024 * 1024;
   bool tcp_nodelay = true;
   /// After request_stop(), connections whose owed output still cannot
@@ -137,14 +152,22 @@ class NetServer {
   /// Binds and listens; false (with a perror line) on failure.
   bool start();
 
+  /// Serves the pre-opened pair (`in_fd` read, `out_fd` written; equal
+  /// for a socket) as the only connection, with no listener. The fds
+  /// stay owned by the caller: they are left open, with the file-status
+  /// flags they had here restored, once the connection closes. false
+  /// (with a perror line) on failure.
+  bool start_fds(int in_fd, int out_fd);
+
   /// The actually-bound port (after start(); useful with port 0).
   int port() const noexcept { return bound_port_; }
 
-  /// Runs the event loop on the calling thread until request_stop().
-  /// Requires start(). When it returns, every connection is closed and
-  /// every response owed to a client has been written or the peer is
-  /// gone; the caller still runs Server::shutdown() for the drain of
-  /// work admitted through other transports.
+  /// Runs the event loop on the calling thread until request_stop(), or
+  /// — with no listener — until the start_fds() connection has closed.
+  /// Requires start() or start_fds(). When it returns, every connection
+  /// is closed and every response owed to a client has been written or
+  /// the peer is gone; the caller still runs Server::shutdown() for the
+  /// drain of work admitted through other transports.
   void run();
 
   /// Stops the loop: no new connections, no new requests; in-flight
@@ -157,12 +180,29 @@ class NetServer {
  private:
   struct Conn;
 
+  /// Creates the epoll instance and the wake eventfd.
+  bool init_loop();
   void wake() noexcept;
   void handle_accept();
+  /// Registers a new connection with epoll and the connection table.
+  bool add_conn(const std::shared_ptr<Conn>& conn);
   void handle_conn_event(const std::shared_ptr<Conn>& conn,
                          std::uint32_t events);
   void read_input(const std::shared_ptr<Conn>& conn);
+  /// Processes up to `lines_left` complete lines from the front of the
+  /// connection's input; returns how many of `lines_left` are unused
+  /// (nonzero: no complete line is left).
+  std::size_t split_lines(const std::shared_ptr<Conn>& conn,
+                          std::size_t lines_left);
+  /// Queues a connection whose input epoll will not announce (see
+  /// Conn::input_pending) for the next loop turn.
+  void mark_input_pending(const std::shared_ptr<Conn>& conn);
+  void read_pending_input();
+  void set_epollout(const std::shared_ptr<Conn>& conn, bool on);
   void process_line(const std::shared_ptr<Conn>& conn, std::string line);
+  /// Parks a response under its sequence number until it can flush.
+  void park(const std::shared_ptr<Conn>& conn, std::uint64_t seq,
+            std::string line);
   /// Moves completed responses into the ordered output buffer and
   /// writes as much as the socket accepts; closes the connection when
   /// it is finished or broken.
@@ -191,7 +231,10 @@ class NetServer {
   std::chrono::steady_clock::time_point drain_deadline_{};
   std::atomic<bool> wake_pending_{false};
 
-  std::unordered_map<int, std::shared_ptr<Conn>> conns_;
+  std::unordered_map<std::uint64_t, std::shared_ptr<Conn>> conns_;
+  /// Connections to read again next turn without an epoll event: their
+  /// per-turn read budget ran out, or their input is a regular file.
+  std::vector<std::shared_ptr<Conn>> more_input_;
 
   std::mutex completed_mutex_;
   std::vector<std::shared_ptr<Conn>> completed_;  ///< conns w/ new done

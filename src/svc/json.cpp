@@ -275,6 +275,9 @@ double Json::as_double() const {
 
 std::int64_t Json::as_int() const {
   const double v = as_double();
+  // Out-of-range (or NaN) doubles would make the cast undefined.
+  if (!(v >= -0x1p63 && v < 0x1p63))
+    throw JsonError("json: integer out of range");
   const auto i = static_cast<std::int64_t>(v);
   if (static_cast<double>(i) != v)
     throw JsonError("json: not an integer");

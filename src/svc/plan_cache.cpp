@@ -5,22 +5,9 @@
 #include <utility>
 
 #include "obs/obs.hpp"
+#include "util/rng.hpp"
 
 namespace mwc::svc {
-
-namespace {
-
-/// Finalizer mix (splitmix64) so shard selection uses all key bits even
-/// when the low bits correlate (FNV keys are well mixed, derived keys
-/// less so).
-std::uint64_t mix(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 void Fnv1a::bytes(const void* data, std::size_t size) noexcept {
   const auto* p = static_cast<const unsigned char*>(data);
@@ -52,7 +39,11 @@ PlanCache::PlanCache(std::size_t capacity, std::size_t shards) {
 }
 
 PlanCache::Shard& PlanCache::shard_for(std::uint64_t key) const noexcept {
-  return shards_[shards_.size() == 1 ? 0 : mix(key) % shards_.size()];
+  if (shards_.size() == 1) return shards_[0];
+  // One splitmix64 step so shard selection uses all key bits even when
+  // the low bits correlate (FNV keys are well mixed, derived keys less).
+  std::uint64_t state = key;
+  return shards_[splitmix64(state) % shards_.size()];
 }
 
 std::shared_ptr<const Plan> PlanCache::get(std::uint64_t key) {

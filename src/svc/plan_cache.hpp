@@ -51,6 +51,11 @@ struct BaseState;
 /// before hashing so -0.0/0.0 and formatting noise cannot split keys).
 class Fnv1a {
  public:
+  Fnv1a() = default;
+  /// Starts from another offset basis, for a hash whose values must not
+  /// move when its code does.
+  explicit Fnv1a(std::uint64_t basis) noexcept : hash_(basis) {}
+
   void bytes(const void* data, std::size_t size) noexcept;
   void u64(std::uint64_t v) noexcept;
   void str(std::string_view s) noexcept;

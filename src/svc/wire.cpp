@@ -1,8 +1,12 @@
 #include "svc/wire.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <string>
 #include <utility>
 
+#include "sim/simulator.hpp"
 #include "svc/json.hpp"
 
 namespace mwc::svc {
@@ -12,6 +16,17 @@ namespace {
 double require_positive(double v, const char* what) {
   if (!(v > 0.0)) throw WireError(std::string(what) + " must be > 0");
   return v;
+}
+
+/// A preset size in [1, kMaxPresetSize], checked before the size_t cast.
+std::size_t preset_size(const Json& preset, const char* key,
+                        const char* what) {
+  const std::int64_t v = preset.at(key).as_int();
+  if (v <= 0) throw WireError(std::string(what) + " must be > 0");
+  if (v > static_cast<std::int64_t>(kMaxPresetSize))
+    throw WireError(std::string(what) + " must be <= " +
+                    std::to_string(kMaxPresetSize));
+  return static_cast<std::size_t>(v);
 }
 
 geom::Point parse_point(const Json& j, const char* what) {
@@ -24,8 +39,8 @@ NetworkSpec parse_network(const Json& j) {
   NetworkSpec spec;
   if (const Json* preset = j.find("preset")) {
     spec.inline_points = false;
-    spec.deployment.n = static_cast<std::size_t>(preset->at("n").as_int());
-    spec.deployment.q = static_cast<std::size_t>(preset->at("q").as_int());
+    spec.deployment.n = preset_size(*preset, "n", "network.preset.n");
+    spec.deployment.q = preset_size(*preset, "q", "network.preset.q");
     if (const Json* field = preset->find("field"))
       spec.deployment.field_side =
           require_positive(field->as_double(), "network.preset.field");
@@ -33,8 +48,6 @@ NetworkSpec parse_network(const Json& j) {
       spec.deployment.depot_at_base_station = at_bs->as_bool();
     if (const Json* seed = preset->find("seed"))
       spec.seed = static_cast<std::uint64_t>(seed->as_int());
-    if (spec.deployment.n == 0) throw WireError("network.preset.n must be > 0");
-    if (spec.deployment.q == 0) throw WireError("network.preset.q must be > 0");
     return spec;
   }
   if (j.find("sensors") == nullptr)
@@ -261,6 +274,18 @@ Request parse_full(const Json& doc, WireVersion version) {
       request.cycles.values.size() != request.network.sensors.size()) {
     throw WireError("cycles.values size != network.sensors size");
   }
+  // The sensor with the smallest τ needs a round at least every τ, so
+  // ⌈horizon / smallest τ⌉ rounds is a floor on the simulator's work;
+  // beyond its dispatch cap the request can never finish.
+  const double tau_floor =
+      request.cycles.inline_values
+          ? *std::min_element(request.cycles.values.begin(),
+                              request.cycles.values.end())
+          : request.cycles.model.tau_min;
+  const auto cap = sim::SimOptions{}.max_dispatches;
+  if (std::ceil(request.horizon / tau_floor) > static_cast<double>(cap))
+    throw WireError("horizon / smallest tau needs more than " +
+                    std::to_string(cap) + " dispatch rounds");
   return request;
 }
 

@@ -84,6 +84,10 @@ struct CycleSpec {
 /// are rejected with bad_request so access-log lines stay bounded).
 inline constexpr std::size_t kMaxTraceIdLength = 128;
 
+/// Largest network.preset "n" and "q" a request may ask for (larger or
+/// negative values are rejected with bad_request).
+inline constexpr std::size_t kMaxPresetSize = 100'000;
+
 /// Per-request stage breakdown, filled in by the server as a request
 /// moves through the pipeline. Milliseconds, wall clock. `serialize_ms`
 /// is measured *around* the response callback, so it can only appear in

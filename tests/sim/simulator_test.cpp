@@ -146,6 +146,23 @@ TEST(Simulator, ServiceCostMatchesQRootedTours) {
   EXPECT_NEAR(per_sum, result.service_cost, 1e-9);
 }
 
+TEST(Simulator, DispatchCapThrowsTypedError) {
+  // τ = 1 over a horizon of 100 needs ~100 rounds; a cap of 10 must end
+  // the run with the typed error, not an abort.
+  const auto net = test_network(10, 2, 8);
+  const auto cycles = fixed_cycles(net, 1.0, 1.0, 8);
+  SimOptions options;
+  options.horizon = 100.0;
+  options.max_dispatches = 10;
+  Simulator simulator(net, cycles, options);
+  charging::MinTotalDistancePolicy policy;
+  EXPECT_THROW(simulator.run(policy), DispatchCapError);
+
+  options.max_dispatches = 1000;
+  Simulator roomy(net, cycles, options);
+  EXPECT_NO_THROW(roomy.run(policy));
+}
+
 TEST(Simulator, CostCacheDoesNotChangeTotals) {
   const auto net = test_network(30, 3, 6);
   const auto cycles = fixed_cycles(net, 1.0, 20.0, 6);

@@ -13,10 +13,14 @@
 #include <vector>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "obs/obs.hpp"
+#include "obs/registry.hpp"
 #include "svc/admin.hpp"
 #include "svc/json.hpp"
 #include "svc/server.hpp"
@@ -413,6 +417,83 @@ TEST(NetServer, StopForceClosesConnectionsThatCannotFlush) {
   EXPECT_EQ(loop.net.stats().drain_dropped, 1u);
 }
 
+TEST(NetServer, PeerWritingWithoutPauseCannotPinTheLoop) {
+  ServerOptions options;
+  options.threads = 1;
+  options.handler = [](const Request& request) {
+    return ok_response(request.id);
+  };
+  Loop loop(options);
+
+  // One peer writes newline-terminated junk as fast as it can (each line
+  // is answered synchronously with bad_request) and drains the replies.
+  // Its socket never runs dry, so only a per-turn read budget lets the
+  // loop serve anyone else or notice a stop.
+  Client flooder(loop.net.port());
+  std::atomic<bool> quit{false};
+  std::thread writer([&] {
+    std::string junk;
+    for (int i = 0; i < 8192; ++i) junk += "x\n";
+    while (!quit.load()) {
+      if (::send(flooder.fd, junk.data(), junk.size(), MSG_NOSIGNAL) <= 0)
+        break;
+    }
+  });
+  std::thread reader([&] {
+    char chunk[65536];
+    while (::recv(flooder.fd, chunk, sizeof chunk, 0) > 0) {
+    }
+  });
+  for (int i = 0; i < 2000 && loop.net.stats().requests < 20000; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+
+  Client client(loop.net.port());
+  client.send_all(request_line("r0"));
+  const auto lines = client.read_lines(1);
+
+  loop.net.request_stop();
+  auto joined = std::async(std::launch::async, [&] { loop.stop(); });
+  const bool returned =
+      joined.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  quit.store(true);
+  ::shutdown(flooder.fd, SHUT_RDWR);
+  writer.join();
+  reader.join();
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_EQ(id_of(lines[0]), "r0");
+  EXPECT_TRUE(returned);
+}
+
+TEST(NetServer, ParkedResponsesCountAgainstTheOutputGuard) {
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool released = false;
+  ServerOptions options;
+  options.threads = 1;
+  options.handler = [&](const Request& request) {
+    std::unique_lock<std::mutex> lock(mutex);
+    cv.wait(lock, [&] { return released; });
+    return ok_response(request.id);
+  };
+  NetServerOptions net_options;
+  net_options.max_buffered_bytes = 64 * 1024;
+  Loop loop(options, net_options);
+
+  // r0 blocks in the handler, so every bad_request behind it parks in
+  // the reorder map: those owed bytes count against the guard too.
+  Client client(loop.net.port());
+  std::string burst = request_line("r0");
+  for (int i = 0; i < 4096; ++i) burst += "x\n";
+  client.send_all(burst);
+  EXPECT_TRUE(client.read_eof());
+  EXPECT_EQ(loop.net.stats().overflow_closed, 1u);
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    released = true;
+  }
+  cv.notify_all();
+}
+
 TEST(NetServer, WireBytesMatchInProcessServerModuloLatency) {
   // Same request through the epoll transport and through submit_line on
   // an identical server must serialize identically (latency aside).
@@ -612,6 +693,248 @@ TEST(NetServer, StreamingConnectionsAreNotReapedAsIdle) {
   const auto lines = client.read_lines(1);
   ASSERT_EQ(lines.size(), 1u);
   EXPECT_EQ(id_of(lines[0]), "r0");
+}
+
+// --- start_fds(): a pre-opened fd pair served as one connection -------
+
+/// A NetServer serving one fd pair (no listener), its loop on a thread.
+/// `returned` resolves when run() returns.
+struct PairLoop {
+  Server server;
+  AdminHandler admin;
+  NetServer net;
+  std::future<void> returned;
+
+  PairLoop(ServerOptions server_options, int in_fd, int out_fd,
+           NetServerOptions net_options = {}, StreamHub* sessions = nullptr)
+      : server(std::move(server_options)),
+        admin(server, AdminInfo{}),
+        net(server, &admin, std::move(net_options), sessions) {
+    EXPECT_TRUE(net.start_fds(in_fd, out_fd));
+    returned = std::async(std::launch::async, [this] { net.run(); });
+  }
+
+  ~PairLoop() {
+    net.request_stop();
+    returned.wait();
+  }
+
+  bool wait_returned() {
+    return returned.wait_for(std::chrono::seconds(10)) ==
+           std::future_status::ready;
+  }
+};
+
+/// Both ends of two pipes: the test writes `to_server[1]` and reads
+/// `from_server[0]`; the server gets the other two ends.
+struct Pipes {
+  int to_server[2] = {-1, -1};
+  int from_server[2] = {-1, -1};
+
+  Pipes() {
+    EXPECT_EQ(::pipe(to_server), 0);
+    EXPECT_EQ(::pipe(from_server), 0);
+  }
+  ~Pipes() {
+    for (int fd : {to_server[0], to_server[1], from_server[0],
+                   from_server[1]})
+      if (fd >= 0) ::close(fd);
+  }
+
+  int server_in() const { return to_server[0]; }
+  int server_out() const { return from_server[1]; }
+
+  void write_all(const std::string& data) const {
+    std::size_t off = 0;
+    while (off < data.size()) {
+      const ssize_t put =
+          ::write(to_server[1], data.data() + off, data.size() - off);
+      ASSERT_GT(put, 0);
+      off += static_cast<std::size_t>(put);
+    }
+  }
+
+  void close_input() {
+    ::close(to_server[1]);
+    to_server[1] = -1;
+  }
+
+  /// Reads until `n` full lines arrived; a 10 s poll timeout or EOF ends
+  /// the read early so the caller's size assertion fails loudly.
+  std::vector<std::string> read_lines(std::size_t n) const {
+    std::string buf;
+    char chunk[65536];
+    std::size_t newlines = 0;
+    while (newlines < n) {
+      pollfd pfd{from_server[0], POLLIN, 0};
+      if (::poll(&pfd, 1, 10000) <= 0) break;
+      const ssize_t got = ::read(from_server[0], chunk, sizeof chunk);
+      if (got <= 0) break;
+      for (ssize_t i = 0; i < got; ++i)
+        if (chunk[i] == '\n') ++newlines;
+      buf.append(chunk, static_cast<std::size_t>(got));
+    }
+    std::vector<std::string> lines;
+    std::size_t start = 0;
+    for (;;) {
+      const std::size_t nl = buf.find('\n', start);
+      if (nl == std::string::npos) break;
+      lines.push_back(buf.substr(start, nl - start));
+      start = nl + 1;
+    }
+    return lines;
+  }
+};
+
+ServerOptions echo_options() {
+  ServerOptions options;
+  options.threads = 2;
+  options.handler = [](const Request& request) {
+    return ok_response(request.id);
+  };
+  return options;
+}
+
+TEST(NetServerFdPair, PipelinedRequestsComeBackInRequestOrder) {
+  ServerOptions options;
+  options.threads = 4;
+  options.handler = [](const Request& request) {
+    const int k = request.id.back() - '0';
+    std::this_thread::sleep_for(std::chrono::milliseconds((5 - k) * 20));
+    return ok_response(request.id);
+  };
+  Pipes pipes;
+  PairLoop loop(options, pipes.server_in(), pipes.server_out());
+
+  std::string burst;
+  for (int i = 0; i < 5; ++i) burst += request_line("r" + std::to_string(i));
+  burst += R"({"admin":"statusz","id":"a5"})" "\n";
+  pipes.write_all(burst);
+
+  const auto lines = pipes.read_lines(6);
+  ASSERT_EQ(lines.size(), 6u);
+  for (int i = 0; i < 5; ++i)
+    EXPECT_EQ(id_of(lines[static_cast<std::size_t>(i)]),
+              "r" + std::to_string(i));
+  EXPECT_EQ(id_of(lines[5]), "a5");
+  const NetStats stats = loop.net.stats();
+  EXPECT_EQ(stats.requests, 6u);
+  EXPECT_EQ(stats.responses, 6u);
+  EXPECT_EQ(stats.connections, 1u);
+}
+
+TEST(NetServerFdPair, EofEndsTheLastLineDrainsAndReturns) {
+  Pipes pipes;
+  const int in_flags = ::fcntl(pipes.server_in(), F_GETFL);
+  const int out_flags = ::fcntl(pipes.server_out(), F_GETFL);
+  PairLoop loop(echo_options(), pipes.server_in(), pipes.server_out());
+
+  std::string burst = request_line("r0") + request_line("r1");
+  burst.pop_back();  // final line unterminated: EOF must end it
+  pipes.write_all(burst);
+  pipes.close_input();
+
+  const auto lines = pipes.read_lines(2);
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_EQ(id_of(lines[0]), "r0");
+  EXPECT_EQ(id_of(lines[1]), "r1");
+  // No listener: run() returns once the pair has drained and closed,
+  // handing the fds back open with their file-status flags restored.
+  ASSERT_TRUE(loop.wait_returned());
+  EXPECT_EQ(loop.net.stats().closed, 1u);
+  EXPECT_EQ(::fcntl(pipes.server_in(), F_GETFL), in_flags);
+  EXPECT_EQ(::fcntl(pipes.server_out(), F_GETFL), out_flags);
+}
+
+TEST(NetServerFdPair, ServesARegularFileLargerThanTheBufferGuard) {
+  // epoll refuses regular files (EPERM); the loop reads them a chunk per
+  // turn and splits lines per chunk, so a file far larger than the guard
+  // is served as long as no single line exceeds it. More lines than one
+  // turn takes: the rest carry over to later turns, and EOF waits for
+  // them.
+  std::FILE* file = std::tmpfile();
+  ASSERT_NE(file, nullptr);
+  constexpr int kRequests = 600;
+  std::string body;
+  for (int i = 0; i < kRequests; ++i)
+    body += request_line("f" + std::to_string(i));
+  ASSERT_EQ(std::fwrite(body.data(), 1, body.size(), file), body.size());
+  std::fflush(file);
+  std::rewind(file);
+  NetServerOptions net_options;
+  net_options.max_buffered_bytes = 1024;
+  ASSERT_GT(body.size(), 8 * net_options.max_buffered_bytes);
+
+  ServerOptions options = echo_options();
+  options.queue_capacity = kRequests;
+  Pipes pipes;
+  {
+    PairLoop loop(options, ::fileno(file), pipes.server_out(), net_options);
+    const auto lines = pipes.read_lines(kRequests);
+    ASSERT_EQ(lines.size(), static_cast<std::size_t>(kRequests));
+    for (int i = 0; i < kRequests; ++i)
+      EXPECT_EQ(id_of(lines[static_cast<std::size_t>(i)]),
+                "f" + std::to_string(i));
+    ASSERT_TRUE(loop.wait_returned());
+    EXPECT_EQ(loop.net.stats().overflow_closed, 0u);
+  }
+  std::fclose(file);
+}
+
+TEST(NetServerFdPair, ClosedOutputEndsTheConnectionWithoutSigpipe) {
+  Pipes pipes;
+  ::close(pipes.from_server[0]);  // nobody will read the responses
+  pipes.from_server[0] = -1;
+  PairLoop loop(echo_options(), pipes.server_in(), pipes.server_out());
+
+  // The response write hits a reader-less pipe: EPIPE closes the
+  // connection (SIGPIPE would have killed this test binary).
+  pipes.write_all(request_line("r0"));
+  ASSERT_TRUE(loop.wait_returned());
+  EXPECT_EQ(loop.net.stats().closed, 1u);
+}
+
+TEST(NetServerFdPair, NewlineFreeInputOverTheGuardIsClosedAndCounted) {
+  const std::uint64_t counted_before =
+      obs::Registry::global().counter("svc.net.overflow_closed").value();
+  NetServerOptions net_options;
+  net_options.max_buffered_bytes = 1024;
+  Pipes pipes;
+  PairLoop loop(echo_options(), pipes.server_in(), pipes.server_out(),
+                net_options);
+
+  pipes.write_all(std::string(4096, 'x'));
+  ASSERT_TRUE(loop.wait_returned());
+  EXPECT_EQ(loop.net.stats().overflow_closed, 1u);
+  EXPECT_EQ(loop.net.stats().requests, 0u);
+  if (MWC_OBS_ENABLED != 0) {
+    EXPECT_EQ(
+        obs::Registry::global().counter("svc.net.overflow_closed").value(),
+        counted_before + 1);
+  }
+}
+
+TEST(NetServerFdPair, StreamOpenReachesTheHub) {
+  FakeHub hub;
+  Pipes pipes;
+  PairLoop loop(echo_options(), pipes.server_in(), pipes.server_out(), {},
+                &hub);
+
+  pipes.write_all(request_line("r0") + stream_frame("s0"));
+  const auto replies = pipes.read_lines(2);
+  ASSERT_EQ(replies.size(), 2u);
+  EXPECT_EQ(id_of(replies[0]), "r0");
+  EXPECT_EQ(id_of(replies[1]), "s0");
+  StreamHub::PushFn push = hub.wait_push_fn();
+  ASSERT_TRUE(static_cast<bool>(push));
+  EXPECT_TRUE(push(push_line("p0")));
+  const auto pushed = pipes.read_lines(1);
+  ASSERT_EQ(pushed.size(), 1u);
+  EXPECT_EQ(Json::parse(pushed[0]).at("tag").as_string(), "p0");
+
+  pipes.close_input();  // EOF tears the session down with the connection
+  ASSERT_TRUE(loop.wait_returned());
+  EXPECT_TRUE(hub.was_dropped());
 }
 
 }  // namespace

@@ -202,6 +202,42 @@ TEST(Server, SubmitLineParsesAndReportsBadLines) {
   server.shutdown();
 }
 
+TEST(Server, DispatchCapProbesGetStructuredErrorsAndServingGoesOn) {
+  ServerOptions options;
+  options.threads = 1;
+  Server server(options);  // default engine: the simulator really runs
+  const auto submit = [&](const std::string& line) {
+    std::promise<Response> answered;
+    server.submit_line(line, [&](const Response& r) {
+      answered.set_value(r);
+    });
+    return answered.get_future().get();
+  };
+  const std::string network =
+      R"("network":{"preset":{"n":6,"q":2,"seed":3}},)";
+  // ⌈horizon / smallest τ⌉ beyond the simulator's dispatch cap: a long
+  // horizon, or a tiny τ, is rejected at admission.
+  for (const std::string& probe :
+       {R"({"v":"mwc.svc.v1","id":"p1",)" + network +
+            R"("cycles":{"model":{"tau_min":1,"tau_max":5}},"horizon":1e15})",
+        R"({"v":"mwc.svc.v1","id":"p2",)" + network +
+            R"("cycles":{"model":{"tau_min":1e-9,"tau_max":5}}})",
+        R"({"v":"mwc.svc.v1","id":"p3",)" + network +
+            R"("cycles":{"values":[1,1,1,1,1,1e-9]}})"}) {
+    const Response r = submit(probe);
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.error, ErrorCode::kBadRequest) << r.message;
+    EXPECT_NE(r.message.find("dispatch"), std::string::npos) << r.message;
+  }
+  // The same server still answers the next request.
+  const Response next = submit(R"({"v":"mwc.svc.v1","id":"ok",)" + network +
+                               R"("cycles":{"model":{"tau_min":1,)"
+                               R"("tau_max":5}},"horizon":20})");
+  EXPECT_TRUE(next.ok) << next.message;
+  EXPECT_EQ(next.id, "ok");
+  server.shutdown();
+}
+
 TEST(Server, UnknownVersionLineGetsStructuredError) {
   ServerOptions options;
   options.threads = 1;

@@ -239,6 +239,50 @@ TEST(Wire, OversizedTraceIdIsRejected) {
             max_id);
 }
 
+TEST(Wire, PresetSizesAreBoundedBeforeTheCast) {
+  const auto preset = [](const std::string& n, const std::string& q) {
+    return R"({"id":"r1","network":{"preset":{"n":)" + n + R"(,"q":)" + q +
+           R"(}},"cycles":{"model":{"tau_min":1,"tau_max":5}}})";
+  };
+  const std::string max = std::to_string(kMaxPresetSize);
+  const std::string over = std::to_string(kMaxPresetSize + 1);
+  for (const auto& [n, q] : std::vector<std::pair<std::string, std::string>>{
+           {"-1", "1"}, {"5", "-1"}, {"0", "1"}, {"5", "0"}, {over, "1"},
+           {"5", over}, {"1e12", "1"}}) {
+    try {
+      parse_request(preset(n, q));
+      ADD_FAILURE() << "accepted n=" << n << " q=" << q;
+    } catch (const WireError& e) {
+      EXPECT_NE(std::string(e.what()).find("network.preset."),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW(parse_request(preset("1e300", "1")), WireError);
+  const Request r = parse_request(preset(max, max));
+  EXPECT_EQ(r.network.deployment.n, kMaxPresetSize);
+  EXPECT_EQ(r.network.deployment.q, kMaxPresetSize);
+}
+
+TEST(Wire, RoundCountBeyondTheDispatchCapIsRejected) {
+  const std::string network = R"("network":{"preset":{"n":4,"q":1}},)";
+  EXPECT_THROW(parse_request(R"({"id":"r1",)" + network +
+                             R"("cycles":{"model":{"tau_min":1,)"
+                             R"("tau_max":5}},"horizon":1e15})"),
+               WireError);
+  EXPECT_THROW(parse_request(R"({"id":"r1",)" + network +
+                             R"("cycles":{"model":{"tau_min":1e-9,)"
+                             R"("tau_max":5}}})"),
+               WireError);
+  EXPECT_THROW(parse_request(R"({"id":"r1",)" + network +
+                             R"("cycles":{"values":[1,1,1e-9,1]}})"),
+               WireError);
+  // 10^7 rounds sits exactly on the cap and is admitted.
+  EXPECT_NO_THROW(parse_request(R"({"id":"r1",)" + network +
+                                R"("cycles":{"model":{"tau_min":1,)"
+                                R"("tau_max":5}},"horizon":1e7})"));
+}
+
 TEST(Wire, ResponseEchoesTraceIdAndStageTimingsWhenSet) {
   Response r = error_response("r9", ErrorCode::kQueueFull, "queue full");
   r.trace_id = "abc-999";

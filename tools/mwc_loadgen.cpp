@@ -101,10 +101,12 @@
 
 #include "obs/registry.hpp"
 #include "svc/json.hpp"
+#include "svc/plan_cache.hpp"
 #include "svc/session.hpp"
 #include "svc/wire.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 #include "wsn/deployment.hpp"
 #include "wsn/storm.hpp"
 
@@ -305,16 +307,6 @@ std::size_t replay_deaths(const mwc::wsn::Network& network,
   return deaths;
 }
 
-double quantile_of(std::vector<double> v, double q) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const double pos = q * static_cast<double>(v.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, v.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return v[lo] + (v[hi] - v[lo]) * frac;
-}
-
 /// Rebuilds the tour list of a pushed plan frame ("plan" object, same
 /// shape to_jsonl emits) far enough for plan_visit_times.
 mwc::svc::Plan parse_pushed_plan(const mwc::svc::Json& doc) {
@@ -460,22 +452,6 @@ std::string dirname_of(const std::string& path) {
                                     : path.substr(0, slash);
 }
 
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
 /// One connected daemon plus its pending pipelined batch.
 struct Endpoint {
   Transport transport;
@@ -491,15 +467,23 @@ class Router {
  public:
   explicit Router(const std::vector<std::unique_ptr<Endpoint>>& endpoints) {
     for (std::size_t i = 0; i < endpoints.size(); ++i)
-      for (int v = 0; v < 64; ++v)
-        ring_.emplace(fnv1a(endpoints[i]->label + "#" + std::to_string(v)),
-                      i);
+      for (int v = 0; v < 64; ++v) {
+        // Plain FNV-1a over the bytes (no length prefix, unlike str()),
+        // from the ring's own offset basis: FNV's 14695981039346656037
+        // with the last digit lost. Fixing it would move every fleet's
+        // instance placement, so the ring keeps it.
+        const std::string node = endpoints[i]->label + "#" + std::to_string(v);
+        mwc::svc::Fnv1a h(1469598103934665603ull);
+        h.bytes(node.data(), node.size());
+        ring_.emplace(h.value(), i);
+      }
     single_ = endpoints.size() <= 1;
   }
 
   std::size_t pick(std::uint64_t key) const {
     if (single_ || ring_.empty()) return 0;
-    auto it = ring_.lower_bound(mix64(key));
+    std::uint64_t state = key;
+    auto it = ring_.lower_bound(mwc::splitmix64(state));
     if (it == ring_.end()) it = ring_.begin();
     return it->second;
   }
@@ -882,6 +866,18 @@ int main(int argc, char** argv) {
       replan_ms.push_back(push.replan_ms);
       apply_ms.push_back(push.apply_ms);
     }
+    std::sort(replan_ms.begin(), replan_ms.end());
+    std::sort(apply_ms.begin(), apply_ms.end());
+    // No pushes: report 0 rather than a quantile of nothing.
+    const bool pushed = !pushes.empty();
+    const double replan_p50 =
+        pushed ? mwc::quantile_sorted(replan_ms, 0.50) : 0.0;
+    const double replan_p95 =
+        pushed ? mwc::quantile_sorted(replan_ms, 0.95) : 0.0;
+    const double apply_p50 =
+        pushed ? mwc::quantile_sorted(apply_ms, 0.50) : 0.0;
+    const double apply_p95 =
+        pushed ? mwc::quantile_sorted(apply_ms, 0.95) : 0.0;
     std::size_t storm_sensors = 0;
     if (surge)
       for (std::size_t i = 0; i < n; ++i)
@@ -906,8 +902,7 @@ int main(int argc, char** argv) {
       std::printf(
           "replan ms (server): p50 %.3f  p95 %.3f   push->apply ms: "
           "p50 %.3f  p95 %.3f\n",
-          quantile_of(replan_ms, 0.50), quantile_of(replan_ms, 0.95),
-          quantile_of(apply_ms, 0.50), quantile_of(apply_ms, 0.95));
+          replan_p50, replan_p95, apply_p50, apply_p95);
     }
 
     if (const auto json_path = args.get("json")) {
@@ -922,12 +917,10 @@ int main(int argc, char** argv) {
       doc.set("pushes", mwc::svc::Json(pushes.size()));
       doc.set("at_risk_flags", mwc::svc::Json(at_risk_total));
       doc.set("elapsed_s", mwc::svc::Json(elapsed_s));
-      doc.set("replan_ms_p50", mwc::svc::Json(quantile_of(replan_ms, 0.50)));
-      doc.set("replan_ms_p95", mwc::svc::Json(quantile_of(replan_ms, 0.95)));
-      doc.set("push_apply_ms_p50",
-              mwc::svc::Json(quantile_of(apply_ms, 0.50)));
-      doc.set("push_apply_ms_p95",
-              mwc::svc::Json(quantile_of(apply_ms, 0.95)));
+      doc.set("replan_ms_p50", mwc::svc::Json(replan_p50));
+      doc.set("replan_ms_p95", mwc::svc::Json(replan_p95));
+      doc.set("push_apply_ms_p50", mwc::svc::Json(apply_p50));
+      doc.set("push_apply_ms_p95", mwc::svc::Json(apply_p95));
       if (surge) {
         mwc::svc::Json surge_doc = mwc::svc::Json::object();
         surge_doc.set("surge_at", mwc::svc::Json(surge_at));
