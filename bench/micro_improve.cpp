@@ -1,6 +1,8 @@
 // Head-to-head of the exhaustive O(n²) tour polish against the
-// candidate-list O(n·k) path (2-opt/Or-opt with don't-look bits plus the
-// candidate-pruned q-rooted MSF).
+// candidate-list O(n·k) path (2-opt/Or-opt with don't-look bits). Both
+// arms build their tours on the same Delaunay-sparse q-rooted MSF, which
+// the binary first checks against dense Prim (exit 1 on any difference)
+// whenever the exhaustive arm runs.
 //
 //   ./micro_improve [--n 800] [--q 4] [--k 12] [--trials 3]
 //                   [--threads 0] [--exhaustive-cap 3000] [--json PATH]
@@ -29,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "../tests/support/dense_msf.hpp"
 #include "geom/simd.hpp"
 #include "obs/obs.hpp"
 #include "tsp/candidates.hpp"
@@ -57,8 +60,8 @@ int main(int argc, char** argv) {
   if (!trace_path.empty()) obs::set_trace_enabled(true);
 
   // Deterministic instance; the oracle caches distance rows lazily, so
-  // warm it with one dense MSF before timing either arm. Above ~8 GiB
-  // the O(n²) matrix cannot exist and the arms run on direct geometry.
+  // fill them all before timing either arm. Above ~8 GiB the O(n²)
+  // matrix cannot exist and the arms run on direct geometry.
   Rng rng(20140917 + n);
   tsp::QRootedInstance instance;
   instance.depots.reserve(q);
@@ -78,8 +81,8 @@ int main(int argc, char** argv) {
   double checksum = 0.0;
   if (matrix_fits) {
     oracle = tsp::DistanceOracle(instance.depots, instance.sensors);
+    oracle.materialize_all();
     view = oracle.view();
-    checksum += tsp::q_rooted_msf(view, q).total_weight;
   } else {
     view = tsp::DistanceView::direct(instance.depots, instance.sensors);
   }
@@ -90,8 +93,19 @@ int main(int argc, char** argv) {
 
   tsp::QRootedOptions candidate;
   candidate.improve = true;
-  candidate.candidate_msf = true;
   candidate.candidate_options.k = k;
+
+  const auto sparse = tsp::q_rooted_msf(view, q);
+  checksum += sparse.total_weight;
+  if (run_exhaustive) {
+    const std::string diff =
+        testing::forest_diff(sparse, testing::dense_q_rooted_msf(view, q));
+    if (!diff.empty()) {
+      std::fprintf(stderr, "FAIL: sparse MSF differs from dense Prim: %s\n",
+                   diff.c_str());
+      return 1;
+    }
+  }
 
   const auto combined = instance.points().materialize();
 

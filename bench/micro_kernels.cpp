@@ -14,21 +14,24 @@
 //              coordinates (no matrix, runs at every n);
 //   * probe  — DistanceView::direct batched distances_to probes, the
 //              shape the q-rooted MSF and 2-opt/Or-opt scans issue;
-//   * solve  — end-to-end q_rooted_tsp (candidate MSF + candidate
-//              polish), oracle-backed when the matrix fits and through
-//              direct geometry above the cap.
+//   * solve  — end-to-end q_rooted_tsp (Delaunay-sparse MSF +
+//              candidate polish), oracle-backed when the matrix fits and
+//              through direct geometry above the cap.
 //
 // The two solve arms must produce *identical* tours (the kernels are
 // bit-exact by contract — docs/ALGORITHMS.md §9); the binary exits
 // nonzero if the tour lengths diverge by more than 1%, so CI catches a
-// backend that trades accuracy for speed. scripts/bench_kernels.sh runs
-// n in {10k, 100k} and merges the JSON outputs into BENCH_kernels.json.
+// backend that trades accuracy for speed. Up to kDenseCheckMax sensors
+// it also exits nonzero unless the sparse MSF equals dense Prim's edge
+// for edge. scripts/bench_kernels.sh runs n in {10k, 100k} and merges
+// the JSON outputs into BENCH_kernels.json.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "../tests/support/dense_msf.hpp"
 #include "geom/simd.hpp"
 #include "geom/soa.hpp"
 #include "obs/obs.hpp"
@@ -72,6 +75,9 @@ double timed_min_ms(bool simd_on, std::size_t reps, Fn&& fn) {
   mwc::geom::simd::set_enabled(true);
   return best;
 }
+
+/// Largest n whose sparse MSF is checked against O(n²) dense Prim.
+constexpr std::size_t kDenseCheckMax = 20'000;
 
 }  // namespace
 
@@ -233,12 +239,22 @@ int main(int argc, char** argv) {
               probe_simd_ms > 0.0 ? probe_scalar_ms / probe_simd_ms : 0.0,
               js.size());
 
-  // --- solve: end-to-end q_rooted_tsp, candidate MSF + candidate polish.
+  // --- solve: end-to-end q_rooted_tsp, sparse MSF + candidate polish.
   // Oracle-backed when the matrix fits (row fills dominate); direct
-  // geometry above the cap (the n = 100k grid cell).
+  // geometry above the cap (the n = 100k grid cell). First, the sparse
+  // MSF must be dense Prim's forest (O(n²), so only up to a cap).
+  if (n <= kDenseCheckMax) {
+    const std::string diff = testing::forest_diff(
+        tsp::q_rooted_msf(direct, q), testing::dense_q_rooted_msf(direct, q));
+    if (!diff.empty()) {
+      std::fprintf(stderr, "FAIL: sparse MSF differs from dense Prim: %s\n",
+                   diff.c_str());
+      return 1;
+    }
+    std::printf("  msf    sparse == dense Prim (edge for edge)\n");
+  }
   tsp::QRootedOptions options;
   options.improve = true;
-  options.candidate_msf = true;
   const auto graph =
       tsp::CandidateGraph::build(points_aos, options.candidate_options);
   options.candidates = &graph;

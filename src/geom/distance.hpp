@@ -1,6 +1,6 @@
-// Pairwise Euclidean distances over point sets. The q-rooted algorithms
-// run Prim's MST on complete metric graphs, so a row-major n x n matrix is
-// the natural representation: contiguous, cache-friendly, and symmetric.
+// Pairwise Euclidean distances over point sets: a row-major n x n matrix,
+// contiguous, cache-friendly, and symmetric, for callers that probe most
+// pairs (the exhaustive polish sweeps, capacity splitting).
 //
 // `LazyDistanceMatrix` materializes one row at a time on first touch
 // (thread-safe), which is what the tsp::DistanceOracle builds on: a

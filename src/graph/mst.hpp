@@ -1,9 +1,10 @@
 // Minimum spanning trees on dense metric graphs.
 //
-// Prim's O(n^2) variant is the workhorse: the q-rooted algorithms operate
-// on complete Euclidean graphs where the dense scan is optimal. Kruskal is
-// provided for sparse edge lists and as an independent cross-check in the
-// property tests.
+// Prim's O(n^2) variant serves the per-group tour constructors (double
+// tree, Christofides) and is the dense oracle the q-rooted MSF's sparse
+// span is tested against (tsp/qrooted.hpp runs its own lazy-heap Prim
+// over Delaunay edges). Kruskal is provided for sparse edge lists and as
+// an independent cross-check in the property tests.
 #pragma once
 
 #include <cstddef>

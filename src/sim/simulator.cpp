@@ -15,14 +15,6 @@ namespace mwc::sim {
 
 namespace {
 constexpr double kTimeTolerance = 1e-9;
-
-tsp::DistanceOracle make_network_oracle(const wsn::Network& network) {
-  std::vector<geom::Point> sensors;
-  sensors.reserve(network.n());
-  for (std::size_t i = 0; i < network.n(); ++i)
-    sensors.push_back(network.sensor(i).position);
-  return tsp::DistanceOracle(network.depots(), sensors);
-}
 }  // namespace
 
 /// StateView implementation backed by the simulator's live arrays.
@@ -55,7 +47,6 @@ Simulator::Simulator(const wsn::Network& network,
     : network_(network),
       cycle_model_(cycles),
       options_(options),
-      oracle_(make_network_oracle(network)),
       cache_hits_c_(metrics_.counter("sim.tour_cache_hits")),
       cache_misses_c_(metrics_.counter("sim.tour_cache_misses")) {
   MWC_ASSERT(options.horizon > 0.0);
@@ -68,12 +59,25 @@ std::uint64_t Simulator::set_hash(const std::vector<std::size_t>& sensors) {
   return h;
 }
 
+const tsp::DistanceOracle& Simulator::oracle() const {
+  std::call_once(oracle_once_, [&] {
+    oracle_ = std::make_unique<tsp::DistanceOracle>(network_.depots(),
+                                                    network_.sensor_points());
+  });
+  return *oracle_;
+}
+
+tsp::DistanceView Simulator::dispatch_view(
+    std::span<const std::size_t> sensors) const {
+  return tsp::DistanceView::direct(network_.depots(), network_.sensor_points())
+      .dispatch(network_.q(), sensors);
+}
+
 bool Simulator::wants_candidates() const noexcept {
   const auto& topts = options_.tour_options;
   if (topts.candidates != nullptr) return false;  // caller supplied one
-  return topts.candidate_msf ||
-         (topts.improve && !topts.improve_options.exhaustive &&
-          topts.improve_options.candidates == nullptr);
+  return topts.improve && !topts.improve_options.exhaustive &&
+         topts.improve_options.candidates == nullptr;
 }
 
 const tsp::CandidateGraph& Simulator::shared_candidates() const {
@@ -98,7 +102,7 @@ Simulator::TourCost Simulator::compute_cost(
     // Range-limited vehicles: plan the round as capacity-respecting
     // trips; each depot's trip lengths accumulate on its charger.
     const auto plan = charging::plan_capacitated_round(
-        network_, sensors, options_.trip_capacity, &oracle_);
+        network_, sensors, options_.trip_capacity, &oracle());
     TourCost cost;
     cost.total = plan.total_length;
     cost.per_depot.reserve(plan.trips.size());
@@ -110,7 +114,7 @@ Simulator::TourCost Simulator::compute_cost(
     return cost;
   }
 
-  const auto distances = oracle_.dispatch_view(sensors);
+  const auto distances = dispatch_view(sensors);
 
   tsp::QRootedOptions topts = options_.tour_options;
   tsp::CandidateGraph dispatch_graph;
@@ -187,8 +191,7 @@ std::size_t Simulator::precost_dispatches(
   }
   if (missing.empty()) return 0;
 
-  // ... cost them concurrently (compute_cost only reads shared state;
-  // the oracle's lazy rows tolerate concurrent first touches) ...
+  // ... cost them concurrently (compute_cost only reads shared state) ...
   std::vector<TourCost> costs(missing.size());
   const auto cost_one = [&](std::size_t i) {
     costs[i] = compute_cost(*missing[i]);

@@ -52,12 +52,12 @@ struct SimOptions {
   double slot_length = 0.0;
   /// How each round's q tours are built (construction heuristic +
   /// optional 2-opt/Or-opt polish, candidate-list acceleration). Defaults
-  /// match the paper. When a candidate-consuming stage is enabled
-  /// (`improve` without `improve_options.exhaustive`, or `candidate_msf`)
-  /// and no graph is supplied, the simulator provides one: the lazily
-  /// built shared graph over the full combined space for full dispatches,
-  /// or a per-dispatch subspace graph otherwise (memoized with the tour
-  /// cost, so each distinct set builds at most once).
+  /// match the paper. When candidate-mode polish is enabled (`improve`
+  /// without `improve_options.exhaustive`) and no graph is supplied, the
+  /// simulator provides one: the lazily built shared graph over the full
+  /// combined space for full dispatches, or a per-dispatch subspace graph
+  /// otherwise (memoized with the tour cost, so each distinct set builds
+  /// at most once).
   tsp::QRootedOptions tour_options;
   /// Per-trip travel budget of each charger (metres); > 0 splits every
   /// round's tours via charging::plan_capacitated_round, adding the
@@ -87,8 +87,8 @@ class Simulator {
   /// Pre-warms the tour-cost cache with the given dispatch sets: missing
   /// sets are costed concurrently on `pool` (serially when null) and
   /// inserted into the cache. A subsequent run() then hits the cache on
-  /// every dispatch of one of these sets. Distances are read through the
-  /// shared per-network oracle, whose lazy rows are thread-safe. Returns
+  /// every dispatch of one of these sets. Costing only reads shared
+  /// state (direct geometry, the call_once-built candidate graph). Returns
   /// the number of sets actually computed (not already cached). No-op
   /// when cache_tour_costs is off.
   std::size_t precost_dispatches(
@@ -105,7 +105,15 @@ class Simulator {
 
   /// Shared pairwise-distance oracle over the network's q depots plus all
   /// n sensors (combined index space: depot l at l, sensor i at q + i).
-  const tsp::DistanceOracle& oracle() const noexcept { return oracle_; }
+  /// Built on first call (thread-safe); the uncapacitated solve path never
+  /// calls it, so a plain run allocates no n² storage.
+  const tsp::DistanceOracle& oracle() const;
+
+  /// Direct-geometry view over one dispatch set: all q depots followed by
+  /// the given sensors (local q + j is sensor sensors[j]). The node space
+  /// and the distances (bit for bit) of oracle().dispatch_view(sensors),
+  /// without the oracle.
+  tsp::DistanceView dispatch_view(std::span<const std::size_t> sensors) const;
 
   /// Tour-cache statistics since construction, read from the simulator's
   /// metrics registry (run() snapshots the per-run delta into SimResult).
@@ -133,8 +141,8 @@ class Simulator {
   };
 
   TourCost dispatch_cost(const std::vector<std::size_t>& sensors);
-  /// Pure costing of one dispatch set through the oracle; no cache access,
-  /// safe to call concurrently.
+  /// Pure costing of one dispatch set over direct geometry; no cache
+  /// access, safe to call concurrently.
   TourCost compute_cost(const std::vector<std::size_t>& sensors) const;
   static std::uint64_t set_hash(const std::vector<std::size_t>& sensors);
 
@@ -148,7 +156,8 @@ class Simulator {
   const wsn::Network& network_;
   const wsn::CycleProcess& cycle_model_;
   SimOptions options_;
-  tsp::DistanceOracle oracle_;
+  mutable std::once_flag oracle_once_;
+  mutable std::unique_ptr<tsp::DistanceOracle> oracle_;
   mutable std::once_flag cand_once_;
   mutable std::unique_ptr<tsp::CandidateGraph> cand_graph_;
   std::unordered_map<std::uint64_t, TourCost> cost_cache_;

@@ -22,14 +22,14 @@ SolveOutcome solve_network(const wsn::Network& network,
   outcome.result = simulator.run(policy);
   if (outcome.result.dispatch_log.empty()) return outcome;
 
-  // Rebuild the first round's tours through the simulator's shared
-  // oracle — the identical distance kernel its costing used, so the
-  // tours' total matches the logged round cost bit for bit (when no
-  // trip-capacity splitting rewrites the round).
+  // Rebuild the first round's tours over the simulator's dispatch view —
+  // the identical distance kernel its costing used, so the tours' total
+  // matches the logged round cost bit for bit (when no trip-capacity
+  // splitting rewrites the round).
   const auto& first = outcome.result.dispatch_log.front();
   RoundPlan& round = outcome.first_round;
   round.sensors = first.sensors;
-  const auto view = simulator.oracle().dispatch_view(round.sensors);
+  const auto view = simulator.dispatch_view(round.sensors);
   auto tours = tsp::q_rooted_tsp(view, network.q(), options.tour_options);
   round.total_length = tours.total_length;
   round.tours.reserve(tours.tours.size());
@@ -215,11 +215,12 @@ ReplanOutcome replan_round(const wsn::Network& network, const RoundPlan& base,
   for (std::size_t j = 0; j < m1; ++j)
     if (patch.base_slot[j] == kNpos) plan.extra_sensors.push_back(q + j);
 
-  // 4. Repair the MSF over the dirty region with candidate-pruned Prim.
-  // The repaired graph covers the new space, so the re-span touches
-  // O(dirty × k) pairs instead of the dense dirty × clean sweep; the
-  // best-of tour starts below absorb the (rare, tiny) weight excess a
-  // pruned re-span can introduce over a dense full rebuild.
+  // 4. Repair the MSF over the dirty region. The dirty sensors span over
+  // their own Delaunay edges (exact); the repaired graph covers the new
+  // space, so the graft onto clean trees probes O(dirty × k) candidate
+  // pairs instead of the dense dirty × clean sweep. The best-of tour
+  // starts below absorb the (rare, tiny) weight excess a pruned graft
+  // can introduce over a full rebuild.
   auto forest = tsp::repair_q_rooted_msf(view, q, base_local, plan,
                                          &outcome.candidates, &outcome.msf);
 
@@ -240,7 +241,7 @@ ReplanOutcome replan_round(const wsn::Network& network, const RoundPlan& base,
   const bool candidate_polish =
       !improve_opts.exhaustive &&
       (improve_opts.candidates != nullptr || options.candidates != nullptr ||
-       options.candidate_msf || options.improve);
+       options.improve);
   // Any caller-supplied graph covers the *base* space; substitute the
   // repaired one (same k regime, new space).
   improve_opts.candidates = candidate_polish ? &outcome.candidates : nullptr;

@@ -4,7 +4,7 @@
 // topologies; a serving layer receives them. solve_network() runs one
 // monitoring period of `policy` over a caller-supplied network + cycle
 // process and additionally reconstructs the q closed tours of the first
-// executed charging round (through the same oracle-backed Algorithm-2
+// executed charging round (through the same dispatch view and Algorithm-2
 // pipeline the simulator costs with), which is what an on-demand client
 // actually drives: the fleet's next rollout plus the horizon-total cost.
 #pragma once

@@ -6,6 +6,7 @@
 #include <string>
 #include <utility>
 
+#include "geom/delaunay.hpp"
 #include "sim/simulator.hpp"
 #include "svc/json.hpp"
 
@@ -29,10 +30,27 @@ std::size_t preset_size(const Json& preset, const char* key,
   return static_cast<std::size_t>(v);
 }
 
+// Admitted coordinates, and preset positions drawn in [0, field) (as
+// small as field·2^-53), stay inside the exact-predicate domain.
+static_assert(kMaxCoordinate <= geom::kMaxExactMagnitude);
+static_assert(kMinCoordinate * 0x1p-53 >= geom::kMinExactMagnitude);
+
+/// One coordinate or length within the kMinCoordinate/kMaxCoordinate
+/// bounds (see wire.hpp).
+double bounded(double v, const char* what) {
+  const double a = std::abs(v);
+  if (!std::isfinite(v) || a > kMaxCoordinate ||
+      (a != 0.0 && a < kMinCoordinate))
+    throw WireError(std::string(what) +
+                    " must be finite, 0 or of magnitude in [1e-30, 1e6]");
+  return v;
+}
+
 geom::Point parse_point(const Json& j, const char* what) {
   if (!j.is_array() || j.size() != 2)
     throw WireError(std::string(what) + " must be [x, y]");
-  return geom::Point{j.items()[0].as_double(), j.items()[1].as_double()};
+  return geom::Point{bounded(j.items()[0].as_double(), what),
+                     bounded(j.items()[1].as_double(), what)};
 }
 
 NetworkSpec parse_network(const Json& j) {
@@ -42,8 +60,9 @@ NetworkSpec parse_network(const Json& j) {
     spec.deployment.n = preset_size(*preset, "n", "network.preset.n");
     spec.deployment.q = preset_size(*preset, "q", "network.preset.q");
     if (const Json* field = preset->find("field"))
-      spec.deployment.field_side =
-          require_positive(field->as_double(), "network.preset.field");
+      spec.deployment.field_side = bounded(
+          require_positive(field->as_double(), "network.preset.field"),
+          "network.preset.field");
     if (const Json* at_bs = preset->find("depot_at_base"))
       spec.deployment.depot_at_base_station = at_bs->as_bool();
     if (const Json* seed = preset->find("seed"))
@@ -59,8 +78,9 @@ NetworkSpec parse_network(const Json& j) {
     spec.depots.push_back(parse_point(p, "network.depots[i]"));
   spec.base_station = parse_point(j.at("base"), "network.base");
   if (const Json* field = j.find("field"))
-    spec.deployment.field_side =
-        require_positive(field->as_double(), "network.field");
+    spec.deployment.field_side = bounded(
+        require_positive(field->as_double(), "network.field"),
+        "network.field");
   if (spec.sensors.empty()) throw WireError("network.sensors is empty");
   if (spec.depots.empty()) throw WireError("network.depots is empty");
   return spec;
@@ -256,8 +276,11 @@ Request parse_full(const Json& doc, WireVersion version) {
   request.cycles = parse_cycles(doc.at("cycles"));
   if (const Json* horizon = doc.find("horizon"))
     request.horizon = require_positive(horizon->as_double(), "horizon");
-  if (const Json* slot = doc.find("slot_length"))
+  if (const Json* slot = doc.find("slot_length")) {
     request.slot_length = slot->as_double();
+    if (!std::isfinite(request.slot_length) || request.slot_length < 0.0)
+      throw WireError("slot_length must be finite and >= 0");
+  }
   if (const Json* improve = doc.find("improve"))
     request.improve = improve->as_bool();
   if (const Json* deadline = doc.find("deadline_ms")) {
@@ -286,6 +309,13 @@ Request parse_full(const Json& doc, WireVersion version) {
   if (std::ceil(request.horizon / tau_floor) > static_cast<double>(cap))
     throw WireError("horizon / smallest tau needs more than " +
                     std::to_string(cap) + " dispatch rounds");
+  // Every slot boundary redraws all n cycles, so the slot count bounds
+  // the simulator's work the same way.
+  if (request.slot_length > 0.0 &&
+      std::ceil(request.horizon / request.slot_length) >
+          static_cast<double>(cap))
+    throw WireError("horizon / slot_length needs more than " +
+                    std::to_string(cap) + " slots");
   return request;
 }
 

@@ -88,6 +88,17 @@ inline constexpr std::size_t kMaxTraceIdLength = 128;
 /// negative values are rejected with bad_request).
 inline constexpr std::size_t kMaxPresetSize = 100'000;
 
+/// Every coordinate a request carries (sensors, depots, base, patch
+/// positions) and every field side must be finite and either 0 or of
+/// magnitude in [kMinCoordinate, kMaxCoordinate]; anything else is
+/// rejected with bad_request. The upper bound keeps distances and the
+/// deployment arithmetic finite. Both bounds keep the q-rooted MSF's
+/// exact Delaunay predicates inside their exact domain
+/// (geom::kMinExactMagnitude, geom::kMaxExactMagnitude), including the
+/// preset positions drawn uniformly in [0, field).
+inline constexpr double kMaxCoordinate = 1e6;
+inline constexpr double kMinCoordinate = 1e-30;
+
 /// Per-request stage breakdown, filled in by the server as a request
 /// moves through the pipeline. Milliseconds, wall clock. `serialize_ms`
 /// is measured *around* the response callback, so it can only appear in

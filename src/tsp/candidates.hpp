@@ -3,14 +3,12 @@
 // by all policies that plan over the same point set.
 //
 // The classical TSP-literature accelerant (Lin–Kernighan-style candidate
-// lists): almost every improving 2-opt/Or-opt move and almost every MSF
-// edge joins a node to one of its few nearest neighbors, so local search
-// and Prim's relaxation only need to look at O(k) candidates per node
-// instead of O(n). tsp::two_opt / tsp::or_opt walk these lists with
-// don't-look bits (see improve.hpp), and the q-rooted MSF core behind
-// tsp::q_rooted_msf and tsp::repair_q_rooted_msf prunes Prim to candidate
-// + root-star edges (see qrooted.hpp); both keep the dense sweep as the
-// golden-reference fallback.
+// lists): almost every improving 2-opt/Or-opt move joins a node to one
+// of its few nearest neighbors, so local search only needs to look at
+// O(k) candidates per node instead of O(n). tsp::two_opt / tsp::or_opt
+// walk these lists with don't-look bits (see improve.hpp), keeping the
+// dense sweep as the golden-reference fallback, and
+// tsp::repair_q_rooted_msf limits its clean-graft scan to them.
 //
 // Node indices are whatever space the points span uses — for the q-rooted
 // pipeline that is the combined depot+sensor space of DistanceOracle /

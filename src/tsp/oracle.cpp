@@ -115,6 +115,18 @@ DistanceView DistanceView::sub(std::vector<std::size_t> locals) const {
   return view;
 }
 
+DistanceView DistanceView::dispatch(
+    std::size_t q, std::span<const std::size_t> sensor_ids) const {
+  std::vector<std::size_t> subset;
+  subset.reserve(q + sensor_ids.size());
+  for (std::size_t l = 0; l < q; ++l) subset.push_back(l);
+  for (std::size_t id : sensor_ids) {
+    MWC_DEBUG_ASSERT(q + id < size_);
+    subset.push_back(q + id);
+  }
+  return sub(std::move(subset));
+}
+
 DistanceOracle::DistanceOracle(std::span<const geom::Point> depots,
                                std::span<const geom::Point> sensors)
     : q_(depots.size()), matrix_(concatenate(depots, sensors)) {}
@@ -132,27 +144,10 @@ DistanceView DistanceOracle::view() const {
   return view;
 }
 
-DistanceView DistanceOracle::submatrix(std::vector<std::size_t> subset) const {
-  DistanceView view;
-  view.oracle_ = this;
-  view.size_ = subset.size();
-  if (!is_identity(subset)) view.map_ = std::move(subset);
-  for ([[maybe_unused]] std::size_t i : view.map_)
-    MWC_DEBUG_ASSERT(i < size());
-  return view;
-}
-
 DistanceView DistanceOracle::dispatch_view(
     std::span<const std::size_t> sensor_ids) const {
   MWC_OBS_COUNT("oracle.dispatch_views");
-  std::vector<std::size_t> subset;
-  subset.reserve(q_ + sensor_ids.size());
-  for (std::size_t l = 0; l < q_; ++l) subset.push_back(l);
-  for (std::size_t id : sensor_ids) {
-    MWC_DEBUG_ASSERT(q_ + id < size());
-    subset.push_back(q_ + id);
-  }
-  return submatrix(std::move(subset));
+  return view().dispatch(q_, sensor_ids);
 }
 
 }  // namespace mwc::tsp

@@ -11,9 +11,12 @@
 //   * `DistanceOracle::dispatch_view(ids)` — the combined subspace
 //     {all q depots} ∪ {q + id : id ∈ ids} of one dispatch set, served
 //     from the cache;
-//   * `DistanceView::direct(...)` — the uncached fallback computing
-//     geom::distance on the fly (bit-identical values), used when no
-//     oracle exists for the points at hand.
+//   * `DistanceView::direct(...)` — computing geom::distance on the fly
+//     (bit-identical values); with a sub() map it spans the same
+//     dispatch subspace. The simulator costs every round this way, since
+//     the q-rooted MSF's sparse span no longer probes all pairs; the
+//     oracle serves capacity-split trips and callers that fill it up
+//     front.
 //
 // Both modes produce bit-identical distances, so construction and
 // improvement routines yield *identical* tours either way — the golden
@@ -35,7 +38,7 @@ class DistanceOracle;
 /// Non-owning distance kernel over an indexed node set. Either backed by
 /// a `DistanceOracle` (cached lookups) or by raw points (direct
 /// geometry). An optional index map re-labels local indices into the
-/// backing space, which is how submatrix/dispatch views avoid copying.
+/// backing space, which is how dispatch views avoid copying.
 class DistanceView {
  public:
   DistanceView() = default;
@@ -57,6 +60,12 @@ class DistanceView {
   /// Distance between local node indices i and j.
   double operator()(std::size_t i, std::size_t j) const;
 
+  /// Position of local node i: the backing point of a direct view, the
+  /// oracle's point of a cached one. Geometric algorithms (the Delaunay
+  /// span of the q-rooted MSF) read positions here, so they run the same
+  /// on either mode and never touch the oracle's rows.
+  const geom::Point& point(std::size_t i) const;
+
   /// Batched probes: out[k] = (*this)(i, js[k]) for every k. Cached
   /// views gather from the (SIMD-filled) oracle row; direct views gather
   /// coordinates and run one geom::simd row kernel. Bit-identical to
@@ -73,6 +82,11 @@ class DistanceView {
   /// of the returned view. Maps compose, so sub-views of sub-views keep
   /// reading the same backing storage.
   DistanceView sub(std::vector<std::size_t> locals) const;
+
+  /// View over one dispatch set of a combined space whose first q nodes
+  /// are the depots: all q depots followed by node q + id for each id.
+  DistanceView dispatch(std::size_t q,
+                        std::span<const std::size_t> sensor_ids) const;
 
  private:
   friend class DistanceOracle;
@@ -126,10 +140,6 @@ class DistanceOracle {
   /// View over the whole combined space.
   DistanceView view() const;
 
-  /// View over an arbitrary subset of combined indices; `subset[k]`
-  /// becomes node k of the view.
-  DistanceView submatrix(std::vector<std::size_t> subset) const;
-
   /// View over one dispatch set: all q depots followed by the sensors
   /// with the given ids (combined index q + id), i.e. the exact node
   /// space q_rooted_tsp runs on for that dispatch.
@@ -153,6 +163,11 @@ inline double DistanceView::operator()(std::size_t i, std::size_t j) const {
   const std::size_t b = map_.empty() ? j : map_[j];
   if (oracle_ != nullptr) return (*oracle_)(a, b);
   return geom::distance(backing_point(a), backing_point(b));
+}
+
+inline const geom::Point& DistanceView::point(std::size_t i) const {
+  const std::size_t a = map_.empty() ? i : map_[i];
+  return oracle_ != nullptr ? oracle_->points()[a] : backing_point(a);
 }
 
 }  // namespace mwc::tsp

@@ -1,12 +1,14 @@
 #include "tsp/qrooted.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <numeric>
 #include <queue>
 #include <unordered_set>
 #include <utility>
 
+#include "geom/delaunay.hpp"
 #include "graph/mst.hpp"
 #include "obs/obs.hpp"
 #include "tsp/construct.hpp"
@@ -121,17 +123,64 @@ RootStar scan_root_star(const DistanceView& distances, std::size_t q,
   return star;
 }
 
-/// Lazy-heap Prim over the aux graph of `sensors`: the root star plus the
-/// explicit sensor-sensor adjacency `adj` (aux-local indices). The star
-/// keeps the graph connected, so a spanning tree always exists. Stale
-/// heap entries are skipped on extraction, and pair ordering breaks key
-/// ties on the smaller node, so on a complete `adj` this extracts exactly
-/// the nodes, in the order, that the dense prim_mst_with does.
+/// Sensor-sensor adjacency of one span in CSR form over aux-local
+/// indices (k stands for sensors[k]): the Delaunay edges of the sensors'
+/// positions, read through the view's geometry.
+struct Adjacency {
+  std::vector<std::uint32_t> offset;  ///< size d + 1
+  std::vector<std::uint32_t> nbr;
+
+  std::span<const std::uint32_t> of(std::size_t k) const {
+    return {nbr.data() + offset[k], nbr.data() + offset[k + 1]};
+  }
+};
+
+Adjacency delaunay_adjacency(const DistanceView& distances,
+                             std::span<const std::size_t> sensors) {
+  const std::size_t d = sensors.size();
+  std::vector<geom::Point> pts;
+  pts.reserve(d);
+  for (const std::size_t s : sensors) pts.push_back(distances.point(s));
+  const geom::Triangulation tri = geom::delaunay(pts);
+
+  Adjacency adj;
+  adj.offset.assign(d + 1, 0);
+  for (const auto& [a, b] : tri.edges) {
+    ++adj.offset[a + 1];
+    ++adj.offset[b + 1];
+  }
+  std::partial_sum(adj.offset.begin(), adj.offset.end(), adj.offset.begin());
+  adj.nbr.resize(adj.offset[d]);
+  std::vector<std::uint32_t> fill(adj.offset.begin(), adj.offset.end() - 1);
+  for (const auto& [a, b] : tri.edges) {
+    adj.nbr[fill[a]++] = b;
+    adj.nbr[fill[b]++] = a;
+  }
+  return adj;
+}
+
+/// The aux-graph MST of one span: lazy-heap Prim over the root star
+/// (`star_dist[k]` joins aux node 0 to sensors[k]) plus the Delaunay
+/// edges among `sensors`. The star keeps the graph connected, so a
+/// spanning tree always exists.
+///
+/// The result is exactly dense Prim's over the complete aux graph, edge
+/// for edge and in the same order. Suppose dense Prim extracts v through
+/// the sensor edge uv while some other span sensor w lies in uv's closed
+/// diametral disk, so |uw| < |uv| and |wv| < |uv|. If w were already in
+/// the tree, v's key would be at most |wv|; if not, w's key would be at
+/// most |uw| and w would be extracted first. Either way uv is not the
+/// extracted edge, so every edge dense Prim extracts is a Gabriel edge,
+/// and Gabriel edges are Delaunay edges (the EMST ⊆ Delaunay argument of
+/// Shamos & Hoey 1975). Depots and clean sensors never need triangulating:
+/// they sit in the root and enter through the star. Keys therefore agree
+/// with dense Prim's at every extraction; stale heap entries are skipped,
+/// and pair ordering breaks key ties on the smaller node, as the dense
+/// sweep does.
 graph::MstResult lazy_prim(const DistanceView& distances,
                            std::span<const std::size_t> sensors,
-                           const RootStar& star,
-                           const std::vector<std::vector<std::size_t>>& adj,
-                           std::uint64_t& probes, std::uint64_t& cand_evals) {
+                           std::span<const double> star_dist,
+                           const Adjacency& adj, std::uint64_t& probes) {
   const std::size_t d = sensors.size();
   graph::MstResult mst;
   std::vector<double> best(d + 1, kInf);
@@ -142,9 +191,9 @@ graph::MstResult lazy_prim(const DistanceView& distances,
 
   in_tree[0] = 1;
   for (std::size_t k = 0; k < d; ++k) {
-    best[k + 1] = star.dist[k];
+    best[k + 1] = star_dist[k];
     best_from[k + 1] = 0;
-    heap.emplace(star.dist[k], k + 1);
+    heap.emplace(star_dist[k], k + 1);
   }
 
   mst.edges.reserve(d);
@@ -165,14 +214,13 @@ graph::MstResult lazy_prim(const DistanceView& distances,
     ++added;
     batch_js.clear();
     batch_v.clear();
-    for (const std::size_t j : adj[u - 1]) {
-      const std::size_t v = j + 1;
+    for (const std::uint32_t j : adj.of(u - 1)) {
+      const std::size_t v = std::size_t{j} + 1;
       if (in_tree[v]) continue;
       batch_js.push_back(sensors[j]);
       batch_v.push_back(v);
     }
     if (batch_js.empty()) continue;
-    cand_evals += batch_js.size();
     probes += batch_js.size();
     batch_w.resize(batch_js.size());
     distances.distances_to(sensors[u - 1], batch_js, batch_w.data());
@@ -187,50 +235,6 @@ graph::MstResult lazy_prim(const DistanceView& distances,
     }
   }
   return mst;
-}
-
-/// The aux-graph MST of a Region. Dense (`pruned` null): Prim over the
-/// complete aux graph, the path production runs and the golden
-/// reference. Pruned: lazy_prim over the candidate edges among the
-/// Region's sensors, symmetrized — kNN is not a symmetric relation, but
-/// Prim must be able to relax an edge from whichever endpoint enters the
-/// tree first. Depot candidates are skipped: depots enter via the star.
-/// The pruned weight can only exceed the dense one when some true MSF
-/// edge joins two sensors that are not mutual-or-one-way candidates —
-/// essentially never on Euclidean instances at k ≈ 10 (pinned by tests,
-/// escape-hatched by verify_against_dense).
-graph::MstResult span_region(const DistanceView& distances, std::size_t q,
-                             const Region& region, const RootStar& star,
-                             const CandidateGraph* pruned,
-                             std::uint64_t& probes,
-                             std::uint64_t& cand_evals) {
-  const std::size_t d = region.sensors.size();
-  if (pruned == nullptr) {
-    const std::size_t* ids = region.sensors.data();
-    const auto aux_dist = [&, ids](std::size_t i, std::size_t j) -> double {
-      if (i == j) return 0.0;
-      if (i == 0) return star.dist[j - 1];
-      if (j == 0) return star.dist[i - 1];
-      ++probes;
-      return distances(ids[i - 1], ids[j - 1]);
-    };
-    return graph::prim_mst_with(d + 1, aux_dist, /*root=*/0);
-  }
-  std::vector<std::size_t> local(distances.size(), kNone);
-  for (std::size_t k = 0; k < d; ++k) local[region.sensors[k]] = k;
-  std::vector<std::vector<std::size_t>> adj(d);
-  for (std::size_t k = 0; k < d; ++k) {
-    for (const std::size_t c : pruned->neighbors(region.sensors[k])) {
-      if (c < q || local[c] == kNone) continue;
-      adj[k].push_back(local[c]);
-      adj[local[c]].push_back(k);
-    }
-  }
-  for (auto& a : adj) {
-    std::sort(a.begin(), a.end());
-    a.erase(std::unique(a.begin(), a.end()), a.end());
-  }
-  return lazy_prim(distances, region.sensors, star, adj, probes, cand_evals);
 }
 
 /// Un-contract, owners: a node hanging off the virtual root (aux node 0)
@@ -256,27 +260,21 @@ std::vector<std::size_t> propagate_owners(std::size_t n,
 /// tree of the depot it attaches to; every other edge joins its owner's
 /// tree. Returns the new edges per depot (size q), in MST order. The full
 /// MSF is the Region of every sensor with no clean trees; a repair's is
-/// the dirty sensors over the clean remainder. Probe and candidate counts
+/// the dirty sensors over the clean remainder, and `candidates` (when
+/// prunable) limits its clean-graft scan. Probe and candidate counts
 /// flush once here, so the inner loops pay no atomic traffic.
 std::vector<std::vector<graph::Edge>> msf_core(
     const DistanceView& distances, std::size_t q, const Region& region,
-    const CandidateGraph* candidates, bool verify_against_dense) {
+    const CandidateGraph* candidates) {
   std::uint64_t probes = 0;
   std::uint64_t cand_evals = 0;
   const CandidateGraph* pruned =
       prunable(candidates, distances.size()) ? candidates : nullptr;
   const RootStar star =
       scan_root_star(distances, q, region, pruned, probes, cand_evals);
-  graph::MstResult mst =
-      span_region(distances, q, region, star, pruned, probes, cand_evals);
-  if (pruned != nullptr && verify_against_dense) {
-    auto dense =
-        span_region(distances, q, region, star, nullptr, probes, cand_evals);
-    if (mst.total_weight > dense.total_weight * (1.0 + 1e-12) + 1e-9) {
-      MWC_OBS_COUNT("tsp.msf_prune_fallbacks");
-      mst = std::move(dense);
-    }
-  }
+  const graph::MstResult mst =
+      lazy_prim(distances, region.sensors, star.dist,
+                delaunay_adjacency(distances, region.sensors), probes);
   flush_probe_count(distances, probes);
   MWC_OBS_COUNT_N("tsp.cand.hits", cand_evals);
 
@@ -300,10 +298,9 @@ std::vector<std::vector<graph::Edge>> msf_core(
   return edges;
 }
 
-/// Full MSF entry point shared by the dense and pruned overloads.
-QRootedForest msf_impl(const DistanceView& distances, std::size_t q,
-                       const CandidateGraph* candidates,
-                       bool verify_against_dense) {
+}  // namespace
+
+QRootedForest q_rooted_msf(const DistanceView& distances, std::size_t q) {
   MWC_OBS_SCOPE("tsp.q_rooted_msf");
   MWC_ASSERT_MSG(q >= 1, "q-rooted MSF needs at least one depot");
   MWC_ASSERT(q <= distances.size());
@@ -322,16 +319,14 @@ QRootedForest msf_impl(const DistanceView& distances, std::size_t q,
   std::iota(depots.begin(), depots.end(), std::size_t{0});
   std::vector<std::size_t> sensors(m);
   std::iota(sensors.begin(), sensors.end(), q);
-  const auto edges = msf_core(distances, q, Region{depots, sensors, {}, {}},
-                              candidates, verify_against_dense);
+  const auto edges =
+      msf_core(distances, q, Region{depots, sensors, {}, {}}, nullptr);
   for (std::size_t l = 0; l < q; ++l) {
     result.trees.emplace_back(l, edges[l]);
     result.total_weight += result.trees.back().total_weight();
   }
   return result;
 }
-
-}  // namespace
 
 std::vector<geom::Point> CombinedPointsView::materialize() const {
   std::vector<geom::Point> pts;
@@ -343,16 +338,6 @@ std::vector<geom::Point> CombinedPointsView::materialize() const {
 
 QRootedForest q_rooted_msf(const QRootedInstance& instance) {
   return q_rooted_msf(instance.distances(), instance.q());
-}
-
-QRootedForest q_rooted_msf(const DistanceView& distances, std::size_t q) {
-  return msf_impl(distances, q, nullptr, false);
-}
-
-QRootedForest q_rooted_msf(const DistanceView& distances, std::size_t q,
-                           const CandidateGraph* candidates,
-                           bool verify_against_dense) {
-  return msf_impl(distances, q, candidates, verify_against_dense);
 }
 
 QRootedForest repair_q_rooted_msf(const DistanceView& distances,
@@ -407,7 +392,7 @@ QRootedForest repair_q_rooted_msf(const DistanceView& distances,
 
   const auto new_edges =
       msf_core(distances, q, Region{active_depots, dirty, clean, owner},
-               candidates, /*verify_against_dense=*/false);
+               candidates);
 
   QRootedForest result;
   result.trees.reserve(q);
@@ -440,19 +425,6 @@ QRootedForest repair_q_rooted_msf(const DistanceView& distances,
 
 QRootedTours q_rooted_tsp(const QRootedInstance& instance,
                           const QRootedOptions& options) {
-  // Build the candidate graph on demand only on the explicit candidate_msf
-  // opt-in: plain `improve` must stay bit-exact with the DistanceView
-  // overload (the GoldenEquivalence contract), which has no geometry to
-  // build a graph from. Callers wanting candidate-mode polish alone pass
-  // their own graph (as the simulator does).
-  if (options.candidate_msf && options.candidates == nullptr) {
-    const auto combined = instance.points().materialize();
-    const auto graph = CandidateGraph::build(combined,
-                                             options.candidate_options);
-    QRootedOptions with_graph = options;
-    with_graph.candidates = &graph;
-    return q_rooted_tsp(instance.distances(), instance.q(), with_graph);
-  }
   return q_rooted_tsp(instance.distances(), instance.q(), options);
 }
 
@@ -460,11 +432,7 @@ QRootedTours q_rooted_tsp(const DistanceView& distances, std::size_t q,
                           const QRootedOptions& options,
                           ThreadPool* polish_pool) {
   MWC_OBS_SCOPE("tsp.q_rooted_tsp");
-  auto forest =
-      options.candidate_msf
-          ? q_rooted_msf(distances, q, options.candidates,
-                         options.verify_candidate_msf)
-          : q_rooted_msf(distances, q);
+  auto forest = q_rooted_msf(distances, q);
 
   QRootedTours result;
   result.tours.reserve(forest.trees.size());
@@ -555,13 +523,14 @@ MultiRootAssignment q_rooted_msf_assign(
     }
   }
 
-  const auto aux_dist = [&](std::size_t i, std::size_t j) -> double {
-    if (i == j) return 0.0;
-    if (i == 0) return best_root_dist[j - 1];
-    if (j == 0) return best_root_dist[i - 1];
-    return geom::distance(sensors[i - 1], sensors[j - 1]);
-  };
-  const auto mst = graph::prim_mst(m + 1, aux_dist, /*root=*/0);
+  // The same span as Algorithm 1, with the roots contracted into aux
+  // node 0 through their nearest-root star.
+  const auto distances = DistanceView::direct(sensors);
+  std::vector<std::size_t> ids(m);
+  std::iota(ids.begin(), ids.end(), std::size_t{0});
+  std::uint64_t probes = 0;
+  const auto mst = lazy_prim(distances, ids, best_root_dist,
+                             delaunay_adjacency(distances, ids), probes);
   result.total_weight = mst.total_weight;
 
   const auto owner = propagate_owners(

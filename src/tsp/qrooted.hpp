@@ -16,16 +16,16 @@
 //     and the q tours jointly cover all sensors.
 //
 // Algorithm 1 is one core (qrooted.cpp) behind three entry points: the
-// full MSF, the candidate-pruned full MSF and the dirty-region repair.
-// Each contracts what is already connected into the virtual root, scans
-// the root star, spans the auxiliary graph and un-contracts. The dense
-// span is O(n²) Prim over the complete graph, which is what production
-// runs and the golden reference. With a CandidateGraph over the combined
-// node space (see candidates.hpp) the span is a lazy-heap Prim over the
-// candidate sensor-sensor edges plus the root star (which keeps the
-// pruned graph connected), and the polishers scan only candidate edges,
-// so the tour pipeline drops from O(n²) to O(n·k). A complete candidate
-// graph dispatches to the dense paths for bit-identical results.
+// full MSF, the dirty-region repair and q_rooted_msf_assign. Each
+// contracts what is already connected into the virtual root, scans the
+// root star, spans the auxiliary graph and un-contracts. The span is a
+// lazy-heap Prim over the root star plus the Delaunay edges of the
+// spanned sensors (geom/delaunay.hpp): every edge dense Prim would pick
+// is a Gabriel edge, hence a Delaunay edge (Shamos & Hoey 1975), so the
+// sparse span returns dense Prim's forest edge for edge, in the same
+// order, in O(m log m) per dispatch set instead of O((q + m)²). The
+// span reads positions through DistanceView::point, so it never needs
+// an oracle's n² rows. Dense Prim survives only as the test oracle.
 #pragma once
 
 #include <cstddef>
@@ -142,26 +142,13 @@ struct QRootedForest {
   double total_weight = 0.0;
 };
 
-/// Exact q-rooted MSF (Algorithm 1). Requires q >= 1. O((q + m)^2).
+/// Exact q-rooted MSF (Algorithm 1). Requires q >= 1. O(q·m + m log m).
 QRootedForest q_rooted_msf(const QRootedInstance& instance);
 
 /// Exact q-rooted MSF over any distance kernel whose combined node space
-/// has nodes 0..q-1 as depots (e.g. a DistanceOracle::dispatch_view).
-/// Bit-exact with the instance overload for equal distances.
+/// has nodes 0..q-1 as depots (e.g. a direct dispatch view). Bit-exact
+/// with the instance overload for equal distances and positions.
 QRootedForest q_rooted_msf(const DistanceView& distances, std::size_t q);
-
-/// Candidate-pruned q-rooted MSF: Prim relaxes only candidate
-/// sensor-sensor edges plus the virtual root's nearest-depot star, via a
-/// lazy binary heap — O((m·k + m) log m) instead of O(m²). `candidates`
-/// must cover the combined node space; null or complete() dispatches to
-/// the dense sweep (bit-identical). With `verify_against_dense` the dense
-/// forest is also computed and silently substituted (counting one
-/// `tsp.msf_prune_fallbacks`) whenever the pruned weight exceeds it — the
-/// correctness escape hatch; tests pin weight equality on Euclidean
-/// instances at k ≈ 10.
-QRootedForest q_rooted_msf(const DistanceView& distances, std::size_t q,
-                           const CandidateGraph* candidates,
-                           bool verify_against_dense = false);
 
 /// Dirty-region repair of a q-rooted MSF. The base forest must live in
 /// the *current* combined node space (when a patch removed/added nodes,
@@ -195,10 +182,11 @@ struct MsfRepairStats {
 /// trees plus extra_sensors), attaching it to the clean remainder, and
 /// merges the result with the untouched trees. With every tree dirty and
 /// all roots active this is the full MSF: the same core, byte-identical
-/// forest. With a local patch and `candidates` it costs
-/// O(|dirty|·k log |dirty|) instead of O(m²). Counts `tsp.repair.*`
-/// telemetry. `candidates` (over the combined space) prunes both the
-/// dirty-dirty edges and the graft scan; null spans densely (exact).
+/// forest. The dirty sensors span over their own Delaunay edges, so a
+/// local patch costs O(|dirty| log |dirty|) plus the graft scan.
+/// `candidates` (over the combined space) limits that scan to each dirty
+/// sensor's candidate clean neighbours; null scans every clean sensor.
+/// Counts `tsp.repair.*` telemetry.
 QRootedForest repair_q_rooted_msf(const DistanceView& distances,
                                   std::size_t q, const QRootedForest& base,
                                   const MsfRepairPlan& plan,
@@ -232,32 +220,20 @@ struct QRootedOptions {
   TourConstruction construction = TourConstruction::kDoubleTree;
 
   /// Polisher knobs. Its `candidates` pointer, when null, inherits the
-  /// `candidates` graph below, so one graph drives both stages.
+  /// `candidates` graph below.
   ImproveOptions improve_options;
 
-  /// Route the MSF through the candidate-pruned Prim (requires a usable
-  /// `candidates` graph, else silently dense).
-  bool candidate_msf = false;
-
-  /// Escape hatch for candidate_msf: cross-check against the dense forest
-  /// and fall back when the pruned weight is worse.
-  bool verify_candidate_msf = false;
-
   /// Shared k-nearest-neighbor graph over the *combined* node space
-  /// (depots + sensors). Non-owning; null means "dense everywhere",
-  /// except that the instance overload builds one on demand when
-  /// candidate_msf explicitly opts in (plain `improve` stays bit-exact
-  /// with the DistanceView overload, which has no geometry to build
-  /// from — supply a graph to get candidate-mode polish there).
+  /// (depots + sensors) for candidate-mode polish. Non-owning; null
+  /// polishes exhaustively unless improve_options supplies one.
   const CandidateGraph* candidates = nullptr;
 
-  /// Build parameters for the on-demand graph of the instance overload.
+  /// Build parameters for graphs a caller builds on these options' behalf
+  /// (the simulator's shared and per-dispatch graphs, the replan repair).
   CandidateOptions candidate_options;
 };
 
-/// 2-approximate q-rooted TSP (Algorithm 2). Requires q >= 1. Builds a
-/// CandidateGraph over the combined points on demand when `options`
-/// opts into candidate_msf without supplying one.
+/// 2-approximate q-rooted TSP (Algorithm 2). Requires q >= 1.
 QRootedTours q_rooted_tsp(const QRootedInstance& instance,
                           const QRootedOptions& options = {});
 

@@ -5,8 +5,11 @@
 #include <optional>
 #include <vector>
 
+#include "../support/dense_msf.hpp"
 #include "charging/greedy.hpp"
 #include "charging/min_total_distance.hpp"
+#include "obs/registry.hpp"
+#include "tsp/construct.hpp"
 #include "util/rng.hpp"
 #include "wsn/deployment.hpp"
 
@@ -362,7 +365,7 @@ TEST(Simulator, CandidateAccelerationStaysNearExhaustive) {
   // One full dispatch (exercises the shared full-space candidate graph)
   // plus one proper subset (exercises the per-dispatch subspace graph);
   // candidate-mode costs must stay within 1% of the exhaustive-polish
-  // reference, and the verified pruned MSF keeps tours covering.
+  // reference.
   const auto net = test_network(40, 2, 7);
   const auto cycles = fixed_cycles(net, 50.0, 50.0, 7);
   std::vector<std::size_t> all(40);
@@ -378,8 +381,6 @@ TEST(Simulator, CandidateAccelerationStaysNearExhaustive) {
 
   SimOptions candidate = exhaustive;
   candidate.tour_options.improve_options.exhaustive = false;
-  candidate.tour_options.candidate_msf = true;
-  candidate.tour_options.verify_candidate_msf = true;
 
   Simulator sim_exhaustive(net, cycles, exhaustive);
   Simulator sim_candidate(net, cycles, candidate);
@@ -389,6 +390,69 @@ TEST(Simulator, CandidateAccelerationStaysNearExhaustive) {
   const auto accelerated = sim_candidate.run(policy_candidate);
   EXPECT_GT(accelerated.service_cost, 0.0);
   EXPECT_LE(accelerated.service_cost, reference.service_cost * 1.01);
+}
+
+TEST(Simulator, RoundCostsEqualDensePrimDoubleTreeTours) {
+  // The simulator costs each round on the Delaunay-sparse MSF; the same
+  // rounds rebuilt from dense Prim's forest must cost the same, bit for
+  // bit, for a full dispatch and a proper subset.
+  const auto net = test_network(300, 4, 12);
+  const auto cycles = fixed_cycles(net, 50.0, 50.0, 12);
+  std::vector<std::size_t> all(net.n());
+  for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
+  std::vector<std::size_t> subset;
+  for (std::size_t i = 1; i < all.size(); i += 3) subset.push_back(i);
+  const std::vector<charging::Dispatch> script{{5.0, all}, {15.0, subset}};
+
+  SimOptions options;
+  options.horizon = 30.0;
+  Simulator simulator(net, cycles, options);
+  ScriptedPolicy policy(script);
+  const auto result = simulator.run(policy);
+  ASSERT_EQ(result.num_dispatches, 2u);
+
+  double expected = 0.0;
+  for (const auto& dispatch : script) {
+    const auto view = simulator.dispatch_view(dispatch.sensors);
+    const auto forest = testing::dense_q_rooted_msf(view, net.q());
+    double round = 0.0;
+    for (const auto& tree : forest.trees)
+      round += tsp::tree_to_tour(tree.edges(), tree.root()).length_with(view);
+    expected += round;
+  }
+  EXPECT_EQ(result.service_cost, expected);
+}
+
+TEST(Simulator, DispatchViewMatchesTheLazyOracleBitForBit) {
+  const auto net = test_network(60, 3, 13);
+  const auto cycles = fixed_cycles(net, 50.0, 50.0, 13);
+  Simulator simulator(net, cycles, SimOptions{});
+  const std::vector<std::size_t> ids{7, 3, 41, 0, 59, 22};
+  const auto direct = simulator.dispatch_view(ids);
+  const auto cached = simulator.oracle().dispatch_view(ids);
+  ASSERT_FALSE(direct.cached());
+  ASSERT_TRUE(cached.cached());
+  ASSERT_EQ(direct.size(), cached.size());
+  for (std::size_t i = 0; i < direct.size(); ++i) {
+    EXPECT_EQ(direct.point(i), cached.point(i));
+    for (std::size_t j = 0; j < direct.size(); ++j)
+      EXPECT_EQ(direct(i, j), cached(i, j)) << i << "," << j;
+  }
+  EXPECT_EQ(&simulator.oracle(), &simulator.oracle());  // built once
+}
+
+TEST(Simulator, UncapacitatedRunTouchesNoOracleRow) {
+  const auto net = test_network(200, 3, 14);
+  const auto cycles = fixed_cycles(net, 5.0, 40.0, 14);
+  SimOptions options;
+  options.horizon = 200.0;
+  Simulator simulator(net, cycles, options);
+  charging::MinTotalDistancePolicy policy;
+  auto& rows = obs::Registry::global().counter("oracle.rows_materialized");
+  const auto before = rows.value();
+  const auto result = simulator.run(policy);
+  EXPECT_GT(result.num_dispatches, 0u);
+  EXPECT_EQ(rows.value(), before);
 }
 
 TEST(SimulatorDeath, PastDispatchAborts) {

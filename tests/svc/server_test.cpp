@@ -238,6 +238,45 @@ TEST(Server, DispatchCapProbesGetStructuredErrorsAndServingGoesOn) {
   server.shutdown();
 }
 
+TEST(Server, GeometryAndSlotProbesGetStructuredErrorsAndServingGoesOn) {
+  ServerOptions options;
+  options.threads = 1;
+  Server server(options);  // default engine: the solver really runs
+  const auto submit = [&](const std::string& line) {
+    std::promise<Response> answered;
+    server.submit_line(line, [&](const Response& r) {
+      answered.set_value(r);
+    });
+    return answered.get_future().get();
+  };
+  const std::string cycles =
+      R"("cycles":{"model":{"tau_min":1,"tau_max":5}},)";
+  const std::string preset = R"("network":{"preset":{"n":6,"q":2,"seed":3}},)";
+  for (const std::string& probe :
+       {// A sensor at 1e300 used to abort in the MST ("graph must be
+        // connected"); a 1e300 field in the cycle rounding.
+        std::string(R"({"v":"mwc.svc.v1","id":"p1","network":{)"
+                    R"("sensors":[[1e300,5],[10,10]],"depots":[[0,0]],)"
+                    R"("base":[0,0]},"cycles":{"values":[5,5]}})"),
+        R"({"v":"mwc.svc.v1","id":"p2","network":{"preset":{"n":6,"q":2,)"
+        R"("field":1e300}},)" +
+            cycles + R"("horizon":20})",
+        // Negative and vanishing slot lengths.
+        R"({"v":"mwc.svc.v1","id":"p3",)" + preset + cycles +
+            R"("horizon":20,"slot_length":-1})",
+        R"({"v":"mwc.svc.v1","id":"p4",)" + preset + cycles +
+            R"("horizon":100,"slot_length":1e-7})"}) {
+    const Response r = submit(probe);
+    EXPECT_FALSE(r.ok) << probe;
+    EXPECT_EQ(r.error, ErrorCode::kBadRequest) << r.message;
+  }
+  const Response next = submit(R"({"v":"mwc.svc.v1","id":"ok",)" + preset +
+                               cycles + R"("horizon":20})");
+  EXPECT_TRUE(next.ok) << next.message;
+  EXPECT_EQ(next.id, "ok");
+  server.shutdown();
+}
+
 TEST(Server, UnknownVersionLineGetsStructuredError) {
   ServerOptions options;
   options.threads = 1;

@@ -283,6 +283,85 @@ TEST(Wire, RoundCountBeyondTheDispatchCapIsRejected) {
                                 R"("tau_max":5}},"horizon":1e7})"));
 }
 
+TEST(Wire, CoordinatesAndFieldsAreFiniteAndBounded) {
+  const auto inline_net = [](const std::string& sensor,
+                             const std::string& depot,
+                             const std::string& base,
+                             const std::string& extra = "") {
+    return R"({"id":"r1","network":{"sensors":[[10,20],)" + sensor +
+           R"(],"depots":[)" + depot + R"(],"base":)" + base + extra +
+           R"(},"cycles":{"values":[5,5]}})";
+  };
+  const std::string ok_pt = "[500,500]";
+  for (const std::string& bad :
+       {std::string("[1e300,5]"), std::string("[5,-1e7]"),
+        std::string("[1e-40,5]"), std::string("[5,-1e-31]"),
+        std::string("[1e400,5]")}) {
+    EXPECT_THROW(parse_request(inline_net(bad, ok_pt, ok_pt)), WireError)
+        << "sensor " << bad;
+    EXPECT_THROW(parse_request(inline_net(ok_pt, bad, ok_pt)), WireError)
+        << "depot " << bad;
+    EXPECT_THROW(parse_request(inline_net(ok_pt, ok_pt, bad)), WireError)
+        << "base " << bad;
+  }
+  try {
+    parse_request(inline_net("[1e300,5]", ok_pt, ok_pt));
+    ADD_FAILURE() << "accepted a sensor at 1e300";
+  } catch (const WireError& e) {
+    EXPECT_NE(std::string(e.what()).find("network.sensors"),
+              std::string::npos)
+        << e.what();
+  }
+  for (const char* field : {"1e300", "1e-40", "2e6"})
+    EXPECT_THROW(parse_request(inline_net(
+                     ok_pt, ok_pt, ok_pt, std::string(",\"field\":") + field)),
+                 WireError)
+        << "inline field " << field;
+  const auto preset_field = [](const std::string& field) {
+    return R"({"id":"r1","network":{"preset":{"n":4,"q":1,"field":)" + field +
+           R"(}},"cycles":{"model":{"tau_min":1,"tau_max":5}}})";
+  };
+  EXPECT_THROW(parse_request(preset_field("1e300")), WireError);
+  EXPECT_THROW(parse_request(preset_field("1e-40")), WireError);
+  EXPECT_THROW(parse_any_request(
+                   R"({"v":"mwc.svc.v2","id":"d","base":"ab","patch":[)"
+                   R"({"op":"move_sensor","sensor":0,"pos":[1e300,0]}]})"),
+               WireError);
+  EXPECT_THROW(parse_any_request(
+                   R"({"v":"mwc.svc.v2","id":"d","base":"ab","patch":[)"
+                   R"({"op":"add_sensor","pos":[0,-2e6],"tau":3}]})"),
+               WireError);
+
+  // The bounds themselves, zero and negative coordinates are admitted.
+  const Request r = parse_request(
+      inline_net("[1e6,-1e6]", "[0,1e-30]", "[-1e-30,0]", ",\"field\":1e6"));
+  EXPECT_EQ(r.network.sensors[1].x, kMaxCoordinate);
+  EXPECT_EQ(r.network.depots[0].y, kMinCoordinate);
+  EXPECT_NO_THROW(parse_request(preset_field("1e6")));
+}
+
+TEST(Wire, SlotLengthIsFiniteNonNegativeAndBounded) {
+  const auto with_slot = [](const std::string& slot) {
+    return R"({"id":"r1","network":{"preset":{"n":4,"q":1}},)"
+           R"("cycles":{"model":{"tau_min":1,"tau_max":5}},"horizon":100,)"
+           R"("slot_length":)" +
+           slot + "}";
+  };
+  for (const char* bad : {"-1", "-1e-9", "1e-7"}) {
+    try {
+      parse_request(with_slot(bad));
+      ADD_FAILURE() << "accepted slot_length " << bad;
+    } catch (const WireError& e) {
+      EXPECT_NE(std::string(e.what()).find("slot_length"), std::string::npos)
+          << e.what();
+    }
+  }
+  // 0 freezes the cycles; 100 / 1e-5 = 10^7 slots sits on the cap.
+  EXPECT_EQ(parse_request(with_slot("0")).slot_length, 0.0);
+  EXPECT_NO_THROW(parse_request(with_slot("1e-5")));
+  EXPECT_EQ(parse_request(with_slot("2.5")).slot_length, 2.5);
+}
+
 TEST(Wire, ResponseEchoesTraceIdAndStageTimingsWhenSet) {
   Response r = error_response("r9", ErrorCode::kQueueFull, "queue full");
   r.trace_id = "abc-999";

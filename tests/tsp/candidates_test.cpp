@@ -1,8 +1,8 @@
 // CandidateGraph unit tests plus the candidate-vs-exhaustive golden
 // suite: candidate-mode local search must stay within 1% of the
 // exhaustive sweep's tour length, be bit-identical when k >= n (complete
-// graph), and the candidate-pruned q-rooted MSF must match the dense
-// Prim's forest weight exactly on Euclidean instances.
+// graph), and the Delaunay-sparse q-rooted MSF these pipelines run on
+// must equal dense Prim's forest edge for edge.
 #include "tsp/candidates.hpp"
 
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "../support/dense_msf.hpp"
 #include "geom/distance.hpp"
 #include "tsp/oracle.hpp"
 #include "tsp/qrooted.hpp"
@@ -116,8 +117,6 @@ TEST_P(CandidateGolden, ImprovedToursWithinOnePercent) {
   QRootedOptions candidate;
   candidate.improve = true;
   candidate.candidates = &graph;
-  candidate.candidate_msf = true;
-  candidate.verify_candidate_msf = true;
 
   // Exhaustive polish at n=800 costs O(n²) per pass; one reference run
   // per grid point keeps the suite fast enough for CI.
@@ -149,7 +148,6 @@ TEST_P(CandidateGolden, CompleteGraphBitIdenticalToExhaustive) {
   QRootedOptions candidate;
   candidate.improve = true;
   candidate.candidates = &graph;
-  candidate.candidate_msf = true;
 
   const auto a = q_rooted_tsp(oracle.view(), q, exhaustive);
   const auto b = q_rooted_tsp(oracle.view(), q, candidate);
@@ -159,24 +157,17 @@ TEST_P(CandidateGolden, CompleteGraphBitIdenticalToExhaustive) {
   EXPECT_EQ(a.total_length, b.total_length);  // bit-exact
 }
 
-TEST_P(CandidateGolden, PrunedMsfWeightEqualsDensePrim) {
+TEST_P(CandidateGolden, SparseMsfEqualsDensePrim) {
   const auto [n, q] = GetParam();
   const auto instance = random_instance(n, q, 1100 + n + q);
   const DistanceOracle oracle(instance.depots, instance.sensors);
-  const auto combined = instance.points().materialize();
-  const auto graph = CandidateGraph::build(combined);
 
-  const auto dense = q_rooted_msf(oracle.view(), q);
-  const auto pruned = q_rooted_msf(oracle.view(), q, &graph);
-  ASSERT_EQ(pruned.trees.size(), dense.trees.size());
-  // The escape hatch is *verification*, not approximation: on Euclidean
-  // instances at k = 10 the candidate graph contains every MSF edge, so
-  // the forests weigh exactly the same.
-  EXPECT_DOUBLE_EQ(pruned.total_weight, dense.total_weight);
-
-  // And with the verify escape hatch on, equality holds by construction.
-  const auto verified = q_rooted_msf(oracle.view(), q, &graph, true);
-  EXPECT_DOUBLE_EQ(verified.total_weight, dense.total_weight);
+  // The span needs no candidate graph: on general-position points the
+  // Delaunay-sparse Prim extracts exactly dense Prim's edges, in order,
+  // through either distance mode.
+  const auto dense = testing::dense_q_rooted_msf(oracle.view(), q);
+  EXPECT_EQ(testing::forest_diff(q_rooted_msf(oracle.view(), q), dense), "");
+  EXPECT_EQ(testing::forest_diff(q_rooted_msf(instance), dense), "");
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -195,7 +186,6 @@ TEST(ParallelPolish, PoolMatchesSerialBitExact) {
   QRootedOptions options;
   options.improve = true;
   options.candidates = &graph;
-  options.candidate_msf = true;
 
   const auto serial = q_rooted_tsp(oracle.view(), instance.q(), options);
   ThreadPool pool(4);

@@ -11,6 +11,8 @@
 #include <vector>
 
 #include "geom/distance.hpp"
+#include "obs/obs.hpp"
+#include "obs/registry.hpp"
 #include "tsp/construct.hpp"
 #include "tsp/improve.hpp"
 #include "tsp/qrooted.hpp"
@@ -128,6 +130,34 @@ TEST(LazyDistanceMatrix, ConcurrentFirstTouchesAgree) {
   }
   for (auto& th : threads) th.join();
   for (int good : ok) EXPECT_EQ(good, 1);
+}
+
+// Probe telemetry: the MSF and the polishers count each probe as a hit
+// when an oracle serves it and as a miss when direct geometry does.
+TEST(DistanceOracle, ProbesCountAsHitsOnOracleViewsAndMissesOnDirect) {
+  if (MWC_OBS_ENABLED == 0) GTEST_SKIP() << "obs compiled out";
+  const auto instance = random_instance(60, 3, 4);
+  const auto oracle = oracle_for(instance);
+  auto& hits = obs::Registry::global().counter("oracle.probe_hits");
+  auto& misses = obs::Registry::global().counter("oracle.probe_misses");
+
+  auto hits_before = hits.value();
+  auto misses_before = misses.value();
+  (void)q_rooted_msf(oracle.view(), instance.q());
+  EXPECT_GT(hits.value(), hits_before);
+  EXPECT_EQ(misses.value(), misses_before);
+
+  hits_before = hits.value();
+  (void)q_rooted_msf(instance);
+  EXPECT_GT(misses.value(), misses_before);
+  EXPECT_EQ(hits.value(), hits_before);
+
+  const auto points = instance.points().materialize();
+  Tour tour = nearest_neighbor_tour(points);
+  misses_before = misses.value();
+  (void)improve_tour(tour, oracle.view());
+  EXPECT_GT(hits.value(), hits_before);
+  EXPECT_EQ(misses.value(), misses_before);
 }
 
 // The tentpole guarantee: the oracle-backed pipeline produces the exact

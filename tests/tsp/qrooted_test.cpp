@@ -1,13 +1,19 @@
 // Tests for Algorithms 1 and 2 — including the paper's Lemma 1 (MSF
-// optimality) and Theorem 1 (2-approximation) verified against brute force.
+// optimality) and Theorem 1 (2-approximation) verified against brute force,
+// on random and on degenerate (co-circular, collinear, duplicate,
+// coincident) instances, plus the Delaunay-sparse span against the dense
+// Prim oracle.
 #include "tsp/qrooted.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
+#include <tuple>
 #include <vector>
 
+#include "../support/dense_msf.hpp"
+#include "../support/point_sets.hpp"
 #include "tsp/exact.hpp"
 #include "util/rng.hpp"
 
@@ -22,6 +28,18 @@ QRootedInstance random_instance(std::size_t q, std::size_t m,
     inst.depots.push_back({rng.uniform(0.0, side), rng.uniform(0.0, side)});
   for (std::size_t k = 0; k < m; ++k)
     inst.sensors.push_back({rng.uniform(0.0, side), rng.uniform(0.0, side)});
+  return inst;
+}
+
+/// An instance cut from one degenerate family: the first q points are
+/// the depots, so depots share the family's lattice, line or duplicates.
+QRootedInstance degenerate_instance(std::size_t family, std::size_t q,
+                                    std::size_t m, std::uint64_t seed) {
+  const auto sets = mwc::testing::degenerate_point_sets(q + m, seed);
+  const auto& pts = sets[family % sets.size()].points;
+  QRootedInstance inst;
+  inst.depots.assign(pts.begin(), pts.begin() + static_cast<long>(q));
+  inst.sensors.assign(pts.begin() + static_cast<long>(q), pts.end());
   return inst;
 }
 
@@ -119,6 +137,17 @@ TEST_P(Lemma1Property, DeepChainMatchesBruteForce) {
   EXPECT_EQ(spanned, m);
 }
 
+TEST_P(Lemma1Property, DegenerateInstancesMatchBruteForce) {
+  const auto seed = GetParam();
+  mwc::Rng meta(seed ^ 0xD6);
+  const auto q = static_cast<std::size_t>(meta.uniform_int(1, 3));
+  const auto m = static_cast<std::size_t>(meta.uniform_int(1, 7));
+  const auto inst = degenerate_instance(seed, q, m, seed ^ 0x5A);
+  EXPECT_NEAR(q_rooted_msf(inst).total_weight,
+              brute_force_q_rooted_msf(inst), 1e-9)
+      << "family " << seed % 5 << " q=" << q << " m=" << m;
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, Lemma1Property,
                          ::testing::Range<std::uint64_t>(1, 21));
 
@@ -162,6 +191,20 @@ TEST_P(Theorem1Property, WithinTwiceOptimal) {
   EXPECT_TRUE(covers_all_sensors(inst, approx));
 }
 
+TEST_P(Theorem1Property, DegenerateInstancesWithinTwiceOptimal) {
+  const auto seed = GetParam();
+  mwc::Rng meta(seed ^ 0x7D);
+  const auto q = static_cast<std::size_t>(meta.uniform_int(1, 3));
+  const auto m = static_cast<std::size_t>(meta.uniform_int(2, 7));
+  const auto inst = degenerate_instance(seed, q, m, seed ^ 0xCE);
+  const auto approx = q_rooted_tsp(inst);
+  const double optimal = brute_force_q_rooted_tsp(inst);
+  EXPECT_LE(approx.total_length, 2.0 * optimal + 1e-9)
+      << "family " << seed % 5 << " q=" << q << " m=" << m;
+  EXPECT_GE(approx.total_length, optimal - 1e-9);
+  EXPECT_TRUE(covers_all_sensors(inst, approx));
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, Theorem1Property,
                          ::testing::Range<std::uint64_t>(1, 16));
 
@@ -198,6 +241,51 @@ TEST(QRootedTsp, CoincidentDepotAndSensor) {
   EXPECT_TRUE(covers_all_sensors(inst, tours));
   EXPECT_NEAR(tours.total_length, 2.0, 1e-12);
 }
+
+// The Delaunay-sparse span against the dense Prim oracle. General
+// position is pinned edge for edge in candidates_test; here ties abound,
+// so forests may pick different equal-weight edges but weigh the same.
+class SparseMsfOnDegenerateSets
+    : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {
+};
+
+TEST_P(SparseMsfOnDegenerateSets, WeightEqualsDensePrim) {
+  const auto [m, q] = GetParam();
+  for (std::size_t family = 0; family < 5; ++family) {
+    const auto inst = degenerate_instance(family, q, m, 40 + m + q);
+    const auto forest = q_rooted_msf(inst);
+    const auto dense = mwc::testing::dense_q_rooted_msf(inst.distances(), q);
+    EXPECT_NEAR(forest.total_weight, dense.total_weight,
+                1e-9 * (1.0 + dense.total_weight))
+        << "family " << family;
+    std::set<std::size_t> seen;
+    for (std::size_t l = 0; l < q; ++l) {
+      EXPECT_TRUE(forest.trees[l].valid());
+      EXPECT_EQ(forest.trees[l].root(), l);
+      for (const std::size_t v : forest.trees[l].nodes()) {
+        if (v >= q) {
+          EXPECT_TRUE(seen.insert(v).second) << "family " << family;
+        }
+      }
+    }
+    EXPECT_EQ(seen.size(), m) << "family " << family;
+
+    // q_rooted_msf_assign runs the same span with arbitrary roots.
+    const auto root_dist = [&](std::size_t r, std::size_t k) {
+      return geom::distance(inst.depots[r], inst.sensors[k]);
+    };
+    EXPECT_NEAR(q_rooted_msf_assign(q, root_dist, inst.sensors).total_weight,
+                dense.total_weight, 1e-9 * (1.0 + dense.total_weight))
+        << "family " << family;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, SparseMsfOnDegenerateSets,
+    ::testing::Combine(::testing::Values(std::size_t{10}, std::size_t{100},
+                                         std::size_t{800}),
+                       ::testing::Values(std::size_t{1}, std::size_t{3},
+                                         std::size_t{10})));
 
 TEST(QRootedMsfAssign, EachSensorAssignedOnce) {
   const auto inst = random_instance(3, 25, 6);

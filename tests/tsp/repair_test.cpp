@@ -13,6 +13,7 @@
 #include <tuple>
 #include <vector>
 
+#include "../support/dense_msf.hpp"
 #include "tsp/candidates.hpp"
 #include "tsp/construct.hpp"
 #include "tsp/improve.hpp"
@@ -153,13 +154,13 @@ TEST(MsfRepair, AllDirtyEqualsDenseRebuild) {
   }
 }
 
-/// The candidate-pruned full MSF is the repair core run over every
-/// sensor with no clean trees, so the two must agree byte for byte.
+/// The full MSF is the repair core run over every sensor with no clean
+/// trees, so the two must agree byte for byte, and both with dense Prim.
 class MergedMsfCore
     : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {
 };
 
-TEST_P(MergedMsfCore, PrunedMsfEqualsAllDirtyRepairOfEmptyBase) {
+TEST_P(MergedMsfCore, FullMsfEqualsAllDirtyRepairOfEmptyBase) {
   const auto [n, q] = GetParam();
   const QRootedInstance instance = random_instance(n, q, 500 + n + q);
   const DistanceOracle oracle(instance.depots, instance.sensors);
@@ -167,7 +168,9 @@ TEST_P(MergedMsfCore, PrunedMsfEqualsAllDirtyRepairOfEmptyBase) {
   const CandidateGraph graph = CandidateGraph::build(combined);
   ASSERT_FALSE(graph.complete());
 
-  const QRootedForest full = q_rooted_msf(oracle.view(), q, &graph);
+  const QRootedForest full = q_rooted_msf(oracle.view(), q);
+  EXPECT_EQ(testing::forest_diff(
+      full, testing::dense_q_rooted_msf(oracle.view(), q)), "");
 
   QRootedForest empty;
   for (std::size_t l = 0; l < q; ++l)
@@ -178,18 +181,7 @@ TEST_P(MergedMsfCore, PrunedMsfEqualsAllDirtyRepairOfEmptyBase) {
   const QRootedForest repaired =
       repair_q_rooted_msf(oracle.view(), q, empty, plan, &graph);
 
-  ASSERT_EQ(repaired.trees.size(), full.trees.size());
-  for (std::size_t l = 0; l < q; ++l) {
-    const auto& a = full.trees[l].edges();
-    const auto& b = repaired.trees[l].edges();
-    ASSERT_EQ(a.size(), b.size()) << "tree " << l;
-    for (std::size_t e = 0; e < a.size(); ++e) {
-      EXPECT_EQ(a[e].u, b[e].u) << "tree " << l << " edge " << e;
-      EXPECT_EQ(a[e].v, b[e].v) << "tree " << l << " edge " << e;
-      EXPECT_EQ(a[e].w, b[e].w) << "tree " << l << " edge " << e;
-    }
-  }
-  EXPECT_EQ(full.total_weight, repaired.total_weight);  // bit-exact
+  EXPECT_EQ(testing::forest_diff(full, repaired), "");
 }
 
 INSTANTIATE_TEST_SUITE_P(
