@@ -55,7 +55,7 @@ void BM_SimulateFixedPeriod(benchmark::State& state) {
     benchmark::DoNotOptimize(simulator.run(policy).service_cost);
   }
 }
-BENCHMARK(BM_SimulateFixedPeriod)->Range(64, 512);
+BENCHMARK(BM_SimulateFixedPeriod)->Range(64, 512)->Arg(2000)->Arg(10000);
 
 void BM_SimulateVariablePeriod(benchmark::State& state) {
   const auto world =

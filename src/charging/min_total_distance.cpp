@@ -12,6 +12,7 @@ void MinTotalDistancePolicy::reset(const StateView& view) {
   for (std::size_t i = 0; i < view.network().n(); ++i)
     cycles.push_back(view.cycle(i));
   partition_ = partition_by_cycles(cycles);
+  depth_sets_ = round_sets_by_depth(partition_);
   next_round_ = 1;
 }
 
@@ -22,7 +23,7 @@ std::optional<Dispatch> MinTotalDistancePolicy::next_dispatch(
   if (time >= view.horizon()) return std::nullopt;
   Dispatch dispatch;
   dispatch.time = time;
-  dispatch.sensors = round_sensor_set(partition_, next_round_);
+  dispatch.sensors = depth_sets_[round_depth(partition_, next_round_)];
   return dispatch;
 }
 
@@ -36,13 +37,7 @@ void MinTotalDistancePolicy::on_dispatch_executed(const StateView& view,
 std::vector<std::vector<std::size_t>>
 MinTotalDistancePolicy::planned_dispatch_sets(const StateView& view) const {
   (void)view;
-  if (partition_.groups.empty()) return {};
-  std::vector<std::vector<std::size_t>> sets;
-  sets.reserve(partition_.K + 1);
-  // Round 2^k is the canonical depth-k round; its set covers V_0..V_k.
-  for (std::size_t k = 0; k <= partition_.K; ++k)
-    sets.push_back(round_sensor_set(partition_, std::size_t{1} << k));
-  return sets;
+  return depth_sets_;
 }
 
 BuiltSchedule build_min_total_distance_schedule(
@@ -74,12 +69,14 @@ BuiltSchedule build_min_total_distance_schedule(
   }
 
   // Dispatch stream: round j at time j τ_1, for j τ_1 < T.
+  const auto depth_sets = round_sets_by_depth(partition);
   for (std::size_t j = 1;
        static_cast<double>(j) * partition.tau1 < T; ++j) {
     Dispatch dispatch;
     dispatch.time = static_cast<double>(j) * partition.tau1;
-    dispatch.sensors = round_sensor_set(partition, j);
-    schedule.total_cost += class_cost[round_depth(partition, j)];
+    const std::size_t depth = round_depth(partition, j);
+    dispatch.sensors = depth_sets[depth];
+    schedule.total_cost += class_cost[depth];
     schedule.dispatches.push_back(std::move(dispatch));
   }
   return schedule;

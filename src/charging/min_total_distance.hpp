@@ -33,7 +33,7 @@ class MinTotalDistancePolicy final : public Policy {
 
   /// The K+1 distinct round classes (round j's set depends only on its
   /// depth, and round 2^k has depth k), so the simulator can pre-cost
-  /// every set this policy will ever dispatch.
+  /// every set this policy will ever dispatch. Entry k covers V_0..V_k.
   std::vector<std::vector<std::size_t>> planned_dispatch_sets(
       const StateView& view) const override;
 
@@ -41,6 +41,10 @@ class MinTotalDistancePolicy final : public Policy {
 
  private:
   CyclePartition partition_;
+  /// round_sets_by_depth(partition_), built once per reset(): round j
+  /// dispatches depth_sets_[round_depth(partition_, j)], so a dispatch
+  /// costs one O(|set|) copy and no sort.
+  std::vector<std::vector<std::size_t>> depth_sets_;
   std::size_t next_round_ = 1;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 
 #include "util/assert.hpp"
 
@@ -69,6 +70,22 @@ std::vector<std::size_t> round_sensor_set(const CyclePartition& partition,
   }
   std::sort(set.begin(), set.end());
   return set;
+}
+
+std::vector<std::vector<std::size_t>> round_sets_by_depth(
+    const CyclePartition& partition) {
+  std::vector<std::vector<std::size_t>> sets;
+  sets.reserve(partition.groups.size());
+  std::vector<std::size_t> set;
+  for (const auto& group : partition.groups) {
+    // Each class lists its sensors in id order, so merging it in keeps
+    // the union sorted.
+    const auto mid = static_cast<std::ptrdiff_t>(set.size());
+    set.insert(set.end(), group.begin(), group.end());
+    std::inplace_merge(set.begin(), set.begin() + mid, set.end());
+    sets.push_back(set);
+  }
+  return sets;
 }
 
 }  // namespace mwc::charging

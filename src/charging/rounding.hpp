@@ -29,9 +29,20 @@ struct CyclePartition {
 CyclePartition partition_by_cycles(const std::vector<double>& cycles);
 
 /// Sensor set of the paper's j-th scheduling C_j (1-based): the union of
-/// all V_k with j mod 2^k == 0, k = 0..K. Sorted ascending.
+/// all V_k with j mod 2^k == 0, k = 0..K. Sorted ascending. The
+/// definitional form, concatenating and sorting on every call; the
+/// policies index round_sets_by_depth instead, and tests check the two
+/// agree.
 std::vector<std::size_t> round_sensor_set(const CyclePartition& partition,
                                           std::size_t j);
+
+/// The K+1 distinct round sets, indexed by depth: entry k is
+/// V_0 ∪ … ∪ V_k, sorted ascending, so round j's set C_j is entry
+/// round_depth(partition, j). Built by merging each sorted class into the
+/// previous entry, so a caller that dispatches many rounds pays no
+/// per-round concatenation or sort. Holds at most (K+1)·n ids.
+std::vector<std::vector<std::size_t>> round_sets_by_depth(
+    const CyclePartition& partition);
 
 /// Largest k in [0, K] with j mod 2^k == 0, i.e. the highest class charged
 /// in round j (the round's "depth": min(trailing zeros of j, K)).

@@ -93,13 +93,14 @@ void MinTotalDistanceVarPolicy::recompute_plan(const StateView& view) {
   assigned_ = partition.assigned;
   const double tau1 = partition.tau1;
 
+  const auto depth_sets = round_sets_by_depth(partition);
   std::vector<Dispatch> dispatches;
   for (std::size_t j = 1;; ++j) {
     const double time = t + static_cast<double>(j) * tau1;
     if (time >= T) break;
     Dispatch d;
     d.time = time;
-    d.sensors = round_sensor_set(partition, j);
+    d.sensors = depth_sets[round_depth(partition, j)];
     dispatches.push_back(std::move(d));
   }
 

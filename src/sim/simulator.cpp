@@ -1,9 +1,12 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <limits>
+#include <string>
 #include <unordered_set>
+#include <utility>
 
 #include "charging/fleet.hpp"
 #include "obs/obs.hpp"
@@ -15,6 +18,15 @@ namespace mwc::sim {
 
 namespace {
 constexpr double kTimeTolerance = 1e-9;
+/// Events between two reads of the clock against SimOptions::deadline.
+constexpr std::size_t kDeadlinePollEvents = 256;
+
+/// True once a set deadline (anything but max()) has passed; an unset
+/// one never reads the clock.
+bool deadline_passed(std::chrono::steady_clock::time_point deadline) {
+  return deadline != std::chrono::steady_clock::time_point::max() &&
+         std::chrono::steady_clock::now() >= deadline;
+}
 }  // namespace
 
 /// StateView implementation backed by the simulator's live arrays.
@@ -167,6 +179,11 @@ Simulator::TourCost Simulator::dispatch_cost(
     MWC_OBS_COUNT("sim.tour_cache_misses");
   }
 
+  // A tour build can outlast many events (an MSF over the whole set), so
+  // the deadline is checked before each one too.
+  if (deadline_passed(options_.deadline))
+    throw DeadlineError("deadline expired before a tour build over " +
+                        std::to_string(sensors.size()) + " sensors");
   TourCost cost = compute_cost(sensors);
   if (options_.cache_tour_costs) cost_cache_.emplace(key, cost);
   return cost;
@@ -239,15 +256,39 @@ SimResult Simulator::run(charging::Policy& policy) {
   view.residual_ = view.cycles_;  // all sensors fully charged at t = 0
 
   result.per_charger_cost.assign(network_.q(), 0.0);
-  std::vector<bool> currently_dead(n, false);
-  std::vector<bool> ever_dead(n, false);
+  // Byte flags, not std::vector<bool>, so the aging pass below reads
+  // them as plain contiguous memory.
+  std::vector<unsigned char> currently_dead(n, 0);
+  std::vector<unsigned char> ever_dead(n, 0);
+  // The aging pass writes here and swaps, so the residuals from before
+  // the step stay readable for the depletion instants.
+  std::vector<double> aged(n);
 
   policy.reset(view);
 
   std::size_t slot = 0;
   const bool variable = options_.slot_length > 0.0;
+  std::size_t events = 0;
 
-  // Advances the clock to `target`, recording depletion events.
+  // Records the depletions of one step of length `delta` from view.now_,
+  // in sensor order, with the instant taken from the residual before the
+  // step.
+  const auto record_deaths = [&](double delta) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!currently_dead[i] && view.residual_[i] < delta - kTimeTolerance) {
+        currently_dead[i] = 1;
+        if (!ever_dead[i]) {
+          ever_dead[i] = 1;
+          ++result.dead_sensors;
+        }
+        result.deaths.push_back(DeathEvent{i, view.now_ + view.residual_[i]});
+      }
+    }
+  };
+
+  // Advances the clock to `target`. One branch-free pass ages every
+  // sensor and flags whether any live one depletes; only then does a
+  // second pass look for which.
   const auto advance_to = [&](double target) {
     const double delta = target - view.now_;
     MWC_DEBUG_ASSERT(delta >= -kTimeTolerance);
@@ -255,21 +296,29 @@ SimResult Simulator::run(charging::Policy& policy) {
       view.now_ = target;
       return;
     }
+    const double limit = delta - kTimeTolerance;
+    const double* residual = view.residual_.data();
+    const unsigned char* dead = currently_dead.data();
+    double* next = aged.data();
+    int depletes = 0;  // an int flag keeps this loop vectorizable
     for (std::size_t i = 0; i < n; ++i) {
-      if (!currently_dead[i] && view.residual_[i] < delta - kTimeTolerance) {
-        currently_dead[i] = true;
-        if (!ever_dead[i]) {
-          ever_dead[i] = true;
-          ++result.dead_sensors;
-        }
-        result.deaths.push_back(DeathEvent{i, view.now_ + view.residual_[i]});
-      }
-      view.residual_[i] = std::max(0.0, view.residual_[i] - delta);
+      const double r = residual[i];
+      depletes |= (r < limit) & !dead[i];
+      next[i] = std::max(0.0, r - delta);
     }
+    if (depletes != 0) record_deaths(delta);
+    view.residual_.swap(aged);
     view.now_ = target;
   };
 
   while (view.now_ < T) {
+    if (++events % kDeadlinePollEvents == 0 &&
+        deadline_passed(options_.deadline))
+      throw DeadlineError("deadline expired after " +
+                          std::to_string(events) +
+                          " simulated events, at t = " +
+                          std::to_string(view.now_) + " of " +
+                          std::to_string(T));
     const double next_slot_time =
         variable ? static_cast<double>(slot + 1) * options_.slot_length
                  : std::numeric_limits<double>::infinity();
@@ -298,15 +347,11 @@ SimResult Simulator::run(charging::Policy& policy) {
         result.per_charger_cost[l] += cost.per_depot[l];
       ++result.num_dispatches;
       result.num_sensor_charges += dispatch->sensors.size();
-      if (options_.record_dispatches) {
-        result.dispatch_log.push_back(
-            DispatchRecord{dispatch_time, dispatch->sensors, cost.total});
-      }
       double dispatch_margin = std::numeric_limits<double>::infinity();
       for (std::size_t id : dispatch->sensors) {
         dispatch_margin = std::min(dispatch_margin, view.residual_[id]);
         view.residual_[id] = view.cycles_[id];
-        currently_dead[id] = false;
+        currently_dead[id] = 0;
       }
       result.min_residual_at_charge =
           std::min(result.min_residual_at_charge, dispatch_margin);
@@ -318,6 +363,10 @@ SimResult Simulator::run(charging::Policy& policy) {
       MWC_OBS_HISTOGRAM("sim.residual_margin", dispatch_margin, 0.5, 1.0,
                         2.0, 5.0, 10.0, 20.0, 50.0);
       policy.on_dispatch_executed(view, *dispatch);
+      if (options_.record_dispatches) {
+        result.dispatch_log.push_back(DispatchRecord{
+            dispatch_time, std::move(dispatch->sensors), cost.total});
+      }
       if (result.num_dispatches > options_.max_dispatches)
         throw DispatchCapError(
             "dispatch cap of " + std::to_string(options_.max_dispatches) +
@@ -329,14 +378,14 @@ SimResult Simulator::run(charging::Policy& policy) {
       // Slot boundary: redraw cycles; residual energy *fraction* carries
       // over, so residual lifetime rescales by τ_new / τ_old.
       ++slot;
-      const auto new_cycles = cycle_model_.cycles_at_slot(slot);
+      // Runs once per slot, not per event; GCC would not vectorize the
+      // guarded division anyway.
+      auto new_cycles = cycle_model_.cycles_at_slot(slot);
       for (std::size_t i = 0; i < n; ++i) {
         const double old_tau = view.cycles_[i];
-        if (old_tau > 0.0) {
-          view.residual_[i] *= new_cycles[i] / old_tau;
-        }
-        view.cycles_[i] = new_cycles[i];
+        if (old_tau > 0.0) view.residual_[i] *= new_cycles[i] / old_tau;
       }
+      view.cycles_ = std::move(new_cycles);
       policy.on_cycles_updated(view);
     }
   }

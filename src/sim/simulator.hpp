@@ -17,6 +17,7 @@
 // of MinTotalDistance to K+1 tour constructions per run.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -41,6 +42,13 @@ namespace mwc::sim {
 /// (a runaway policy, or a horizon too long for the cycles), so no
 /// request can turn the cap into an abort().
 class DispatchCapError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+/// Thrown by Simulator::run when the clock passes SimOptions::deadline
+/// mid-run; the run's partial result is discarded.
+class DeadlineError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
@@ -72,6 +80,13 @@ struct SimOptions {
   /// Hard cap on dispatches (guards against a runaway policy); exceeding
   /// it throws DispatchCapError.
   std::size_t max_dispatches = 10'000'000;
+  /// Wall-clock bound on run(): the horizon loop reads the clock every
+  /// few hundred events and before each tour build, and throws
+  /// DeadlineError once it has passed. max() (the default) never reads
+  /// the clock. The service sets it from
+  /// a request's deadline_ms; it is not part of any wire format.
+  std::chrono::steady_clock::time_point deadline =
+      std::chrono::steady_clock::time_point::max();
 };
 
 class Simulator {

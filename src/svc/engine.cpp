@@ -210,7 +210,8 @@ std::shared_ptr<const Plan> build_plan(const sim::SolveOutcome& outcome,
 }  // namespace
 
 Response handle_request(const Request& request, PlanCache* cache,
-                        StageTimings* stages) {
+                        StageTimings* stages,
+                        std::chrono::steady_clock::time_point deadline) {
   MWC_OBS_SCOPE("svc.handle_request");
   const auto start = std::chrono::steady_clock::now();
   const auto elapsed_ms = [&start] {
@@ -284,6 +285,7 @@ Response handle_request(const Request& request, PlanCache* cache,
   try {
     MWC_OBS_SCOPE("svc.solve");
     const double solve_start_ms = elapsed_ms();
+    instance.sim.deadline = deadline;
     const sim::SolveOutcome outcome = sim::solve_network(
         instance.network, *instance.cycles, instance.sim, *policy);
     if (stages != nullptr) stages->solve_ms = elapsed_ms() - solve_start_ms;
@@ -299,6 +301,10 @@ Response handle_request(const Request& request, PlanCache* cache,
     response.plan = std::move(plan);
     response.latency_ms = elapsed_ms();
     return response;
+  } catch (const sim::DeadlineError& e) {
+    return with_version(error_response(request.id,
+                                       ErrorCode::kDeadlineExceeded,
+                                       e.what(), elapsed_ms()));
   } catch (const sim::DispatchCapError& e) {
     // The request asked for more rounds than the simulator will run.
     return with_version(error_response(request.id, ErrorCode::kBadRequest,

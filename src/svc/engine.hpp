@@ -11,6 +11,7 @@
 // one PlanCache entry.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 
@@ -57,13 +58,18 @@ std::uint64_t spec_fingerprint(const Request& request);
 
 /// Serves one request end to end: resolve, policy lookup, cache probe,
 /// solve, cache fill. Never throws — every failure comes back as a
-/// structured error Response (bad_request / unknown_policy / internal).
-/// `cache` may be null (solve-always). `latency_ms` covers this call only;
-/// the server adds queueing time on top. When `stages` is non-null the
-/// engine fills `cache_ms` (resolve + fingerprint + cache probe) and
-/// `solve_ms` (the sim::solve_network call); other stages are the
-/// server's to measure.
-Response handle_request(const Request& request, PlanCache* cache,
-                        StageTimings* stages = nullptr);
+/// structured error Response (bad_request / unknown_policy /
+/// deadline_exceeded / internal). `cache` may be null (solve-always).
+/// `latency_ms` covers this call only; the server adds queueing time on
+/// top. When `stages` is non-null the engine fills `cache_ms` (resolve +
+/// fingerprint + cache probe) and `solve_ms` (the sim::solve_network
+/// call); other stages are the server's to measure. A `deadline` other
+/// than max() bounds the horizon simulation (SimOptions::deadline): a
+/// solve still running when it passes is abandoned, answered
+/// deadline_exceeded and not cached.
+Response handle_request(
+    const Request& request, PlanCache* cache, StageTimings* stages = nullptr,
+    std::chrono::steady_clock::time_point deadline =
+        std::chrono::steady_clock::time_point::max());
 
 }  // namespace mwc::svc

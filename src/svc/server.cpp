@@ -28,6 +28,10 @@ constexpr double kStageBucketsMs[] = {0.001, 0.005, 0.01,  0.025, 0.05,
                                       5.0,   10.0,  25.0,  50.0,  100.0,
                                       250.0, 1000.0};
 
+/// Budgets at or above this (about 30 years) leave the solve unbounded:
+/// the steady clock's nanosecond count cannot hold much more.
+constexpr double kMaxSolveBudgetMs = 1e12;
+
 /// Metric-name-safe policy label: lowercased, anything outside
 /// [a-z0-9_] becomes '_' ("MinTotalDistance" -> "mintotaldistance"),
 /// bounded so hostile policy strings can't bloat the registry.
@@ -213,8 +217,15 @@ Response Server::process(Job& job, Clock::time_point admitted) {
     MWC_OBS_COUNT("svc.deadline_expired");
     return job_error(ErrorCode::kDeadlineExceeded,
                      "deadline of " + std::to_string(deadline_ms) +
-                         " ms expired before solving started");
+                         " ms expired in the queue");
   }
+  // What is left of the budget bounds the solve itself. A budget past
+  // kMaxSolveBudgetMs is no bound, and would overflow the clock.
+  Clock::time_point solve_deadline = Clock::time_point::max();
+  if (deadline_ms > 0.0 && deadline_ms < kMaxSolveBudgetMs)
+    solve_deadline =
+        admitted + std::chrono::duration_cast<Clock::duration>(
+                       std::chrono::duration<double, std::milli>(deadline_ms));
 
   // Every span opened on this worker while the handler runs — engine,
   // delta repair, solver internals — carries this request's trace id.
@@ -226,14 +237,19 @@ Response Server::process(Job& job, Clock::time_point admitted) {
     if (parsed.is_delta) {
       response = handle_delta(parsed.delta, &cache_, &job.stages);
     } else {
-      response = options_.handler
-                     ? options_.handler(parsed.full)
-                     : handle_request(parsed.full, &cache_, &job.stages);
+      response = options_.handler ? options_.handler(parsed.full)
+                                  : handle_request(parsed.full, &cache_,
+                                                   &job.stages,
+                                                   solve_deadline);
     }
   } catch (const std::exception& e) {
     response = job_error(ErrorCode::kInternal, e.what());
   } catch (...) {
     response = job_error(ErrorCode::kInternal, "unknown handler failure");
+  }
+  if (response.error == ErrorCode::kDeadlineExceeded) {
+    expired_.add(1);
+    MWC_OBS_COUNT("svc.deadline_expired");
   }
   // Report full admission -> completion latency (queueing included),
   // not just the handler's own solve time.

@@ -202,7 +202,7 @@ enum class ErrorCode {
   kBadRequest,          ///< malformed JSON / missing fields
   kUnknownPolicy,       ///< policy not in exp::PolicyRegistry
   kQueueFull,           ///< admission control rejected (backpressure)
-  kDeadlineExceeded,    ///< deadline_ms expired before solving started
+  kDeadlineExceeded,    ///< deadline_ms expired in the queue or the solve
   kShuttingDown,        ///< server draining; no new admissions
   kInternal,            ///< unexpected solver failure
   kUnsupportedVersion,  ///< "v" names a version this server doesn't speak

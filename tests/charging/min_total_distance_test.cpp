@@ -86,6 +86,38 @@ TEST(MinTotalDistancePolicy, NoDispatchAtExactlyT) {
   EXPECT_FALSE(policy.next_dispatch(view).has_value());  // t=8 == T skipped
 }
 
+TEST(MinTotalDistancePolicy, MemoisedRoundsEqualRoundSensorSet) {
+  // next_dispatch indexes the K+1 sets built at reset(); every round j
+  // must still be the paper's C_j, past a full period 2^K and after a
+  // second reset() with other cycles (a new K and new classes).
+  const auto net = small_network(12, 2);
+  FakeView view(net, 1e9);
+  MinTotalDistancePolicy policy;
+  const std::vector<std::vector<double>> cycle_sets = {
+      {1.0, 2.0, 4.0, 8.0, 1.5, 3.0, 16.0, 9.0, 2.5, 1.0, 5.0, 31.0},
+      {3.0, 3.0, 7.0, 3.5, 12.0, 6.5, 3.1, 25.0, 4.0, 3.0, 13.0, 3.2},
+  };
+  for (const auto& cycles : cycle_sets) {
+    view.set_all_cycles(cycles);
+    view.fill_full();
+    policy.reset(view);
+    const CyclePartition expected = partition_by_cycles(cycles);
+    ASSERT_EQ(policy.partition().K, expected.K);
+    const std::size_t last = (std::size_t{1} << (expected.K + 1)) + 3;
+    for (std::size_t j = 1; j <= last; ++j) {
+      const auto d = policy.next_dispatch(view);
+      ASSERT_TRUE(d.has_value());
+      EXPECT_EQ(d->time, static_cast<double>(j) * expected.tau1);
+      EXPECT_EQ(d->sensors, round_sensor_set(expected, j)) << "round " << j;
+      policy.on_dispatch_executed(view, *d);
+    }
+    const auto planned = policy.planned_dispatch_sets(view);
+    ASSERT_EQ(planned.size(), expected.K + 1);
+    for (std::size_t k = 0; k <= expected.K; ++k)
+      EXPECT_EQ(planned[k], round_sensor_set(expected, std::size_t{1} << k));
+  }
+}
+
 TEST(BuildSchedule, DispatchTimesAndCosts) {
   const auto net = small_network(6, 2, 3);
   std::vector<double> cycles{1.0, 1.5, 2.0, 3.0, 4.0, 7.9};

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <optional>
 #include <vector>
 
@@ -453,6 +454,28 @@ TEST(Simulator, UncapacitatedRunTouchesNoOracleRow) {
   const auto result = simulator.run(policy);
   EXPECT_GT(result.num_dispatches, 0u);
   EXPECT_EQ(rows.value(), before);
+}
+
+TEST(Simulator, PassedDeadlineStopsTheRunBeforeATourBuild) {
+  // Five rounds are far fewer events than one clock poll interval: the
+  // check before each tour build is what stops this run.
+  const auto net = test_network(40, 3, 1);
+  const auto cycles = fixed_cycles(net, 1.0, 8.0, 2);
+  SimOptions options;
+  options.horizon = 5.0;
+  options.deadline = std::chrono::steady_clock::now();
+  Simulator simulator(net, cycles, options);
+  charging::MinTotalDistancePolicy policy;
+  EXPECT_THROW(simulator.run(policy), DeadlineError);
+
+  // A deadline that does not pass leaves the run as it is without one.
+  SimOptions unbounded;
+  unbounded.horizon = 5.0;
+  options.deadline = std::chrono::steady_clock::now() + std::chrono::hours(1);
+  const auto bounded = Simulator(net, cycles, options).run(policy);
+  const auto reference = Simulator(net, cycles, unbounded).run(policy);
+  EXPECT_EQ(bounded.service_cost, reference.service_cost);
+  EXPECT_EQ(bounded.num_dispatches, reference.num_dispatches);
 }
 
 TEST(SimulatorDeath, PastDispatchAborts) {

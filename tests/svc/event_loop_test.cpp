@@ -865,16 +865,29 @@ TEST(NetServerFdPair, ServesARegularFileLargerThanTheBufferGuard) {
   net_options.max_buffered_bytes = 1024;
   ASSERT_GT(body.size(), 8 * net_options.max_buffered_bytes);
 
+  // One worker: the guard also counts responses parked behind an
+  // unfinished earlier one (ParkedResponsesCountAgainstTheOutputGuard),
+  // and with two workers a preempted one lets the other park more than
+  // 1024 bytes of echoes, closing the pair as "output overflow". In-order
+  // completion leaves only unflushed output, and the whole response
+  // stream fits the output pipe, so the guard never trips.
   ServerOptions options = echo_options();
+  options.threads = 1;
   options.queue_capacity = kRequests;
   Pipes pipes;
   {
     PairLoop loop(options, ::fileno(file), pipes.server_out(), net_options);
     const auto lines = pipes.read_lines(kRequests);
     ASSERT_EQ(lines.size(), static_cast<std::size_t>(kRequests));
-    for (int i = 0; i < kRequests; ++i)
-      EXPECT_EQ(id_of(lines[static_cast<std::size_t>(i)]),
-                "f" + std::to_string(i));
+    std::size_t response_bytes = 0;
+    for (int i = 0; i < kRequests; ++i) {
+      const auto& line = lines[static_cast<std::size_t>(i)];
+      EXPECT_EQ(id_of(line), "f" + std::to_string(i));
+      response_bytes += line.size() + 1;
+    }
+    EXPECT_LT(response_bytes,
+              static_cast<std::size_t>(::fcntl(pipes.from_server[0],
+                                               F_GETPIPE_SZ)));
     ASSERT_TRUE(loop.wait_returned());
     EXPECT_EQ(loop.net.stats().overflow_closed, 0u);
   }

@@ -238,6 +238,42 @@ TEST(Server, DispatchCapProbesGetStructuredErrorsAndServingGoesOn) {
   server.shutdown();
 }
 
+TEST(Server, DeadlineBoundsTheSolveAndServingGoesOn) {
+  ServerOptions options;
+  options.threads = 1;
+  Server server(options);  // default engine: the simulator really runs
+  const auto submit = [&](const std::string& line) {
+    std::promise<Response> answered;
+    server.submit_line(line, [&](const Response& r) {
+      answered.set_value(r);
+    });
+    return answered.get_future().get();
+  };
+  const std::string instance =
+      R"("network":{"preset":{"n":200,"q":5,"seed":3}},)"
+      R"("cycles":{"model":{"tau_min":1,"tau_max":20}},)";
+  // A million rounds hold a worker for seconds; the deadline ends the
+  // horizon loop soon after it passes.
+  const auto start = std::chrono::steady_clock::now();
+  const Response r = submit(R"({"v":"mwc.svc.v1","id":"long",)" + instance +
+                            R"("horizon":1e6,"deadline_ms":100})");
+  const double waited_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.error, ErrorCode::kDeadlineExceeded) << r.message;
+  EXPECT_EQ(r.id, "long");
+  EXPECT_LT(waited_ms, 1000.0);
+  // The same server still answers the next request, deadline or not.
+  const Response next = submit(R"({"v":"mwc.svc.v1","id":"ok",)" + instance +
+                               R"("horizon":20,"deadline_ms":60000})");
+  EXPECT_TRUE(next.ok) << next.message;
+  EXPECT_EQ(next.id, "ok");
+  server.shutdown();
+  EXPECT_EQ(server.metrics().snapshot().counters.at("svc.deadline_expired"),
+            1u);
+}
+
 TEST(Server, GeometryAndSlotProbesGetStructuredErrorsAndServingGoesOn) {
   ServerOptions options;
   options.threads = 1;
