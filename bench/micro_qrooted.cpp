@@ -4,6 +4,7 @@
 // m = 100k to show the Delaunay-sparse span's O(m log m).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -105,6 +106,34 @@ void BM_QRootedTsp(benchmark::State& state) {
 }
 BENCHMARK(BM_QRootedTsp)->Range(64, 1024);
 
+// Algorithm 3's K+1 nested round sets V_0 ⊆ V_0 ∪ V_1 ⊆ … ⊆ V at the
+// sizes of a cold n=2000 request (τ ∈ [1, 50], so K = 5), each toured
+// over a dispatch view of the full network the way Simulator costs it.
+void BM_QRootedTspNested(benchmark::State& state) {
+  const auto inst = random_instance(5, 2000, 7);
+  Rng rng(8);
+  std::vector<std::size_t> arrival(inst.m());
+  for (std::size_t k = 0; k < arrival.size(); ++k) arrival[k] = k;
+  mwc::shuffle(arrival.begin(), arrival.end(), rng);
+  std::vector<std::vector<std::size_t>> levels;
+  for (const std::size_t size : {5, 29, 125, 560, 1610, 2000}) {
+    std::vector<std::size_t> set(arrival.begin(),
+                                 arrival.begin() + static_cast<long>(size));
+    std::sort(set.begin(), set.end());
+    levels.push_back(std::move(set));
+  }
+  const auto network = inst.distances();
+  for (auto _ : state) {
+    double total = 0.0;
+    for (const auto& set : levels)
+      total += mwc::tsp::q_rooted_tsp(network.dispatch(inst.q(), set),
+                                      inst.q())
+                   .total_length;
+    benchmark::DoNotOptimize(total);
+  }
+}
+BENCHMARK(BM_QRootedTspNested)->Unit(benchmark::kMillisecond);
+
 void BM_QRootedTspImproved(benchmark::State& state) {
   const auto m = static_cast<std::size_t>(state.range(0));
   const auto inst = random_instance(5, m, 4);
@@ -125,7 +154,23 @@ void BM_DoubleTreeTour(benchmark::State& state) {
     benchmark::DoNotOptimize(tour.size());
   }
 }
-BENCHMARK(BM_DoubleTreeTour)->Range(64, 1024);
+BENCHMARK(BM_DoubleTreeTour)->Range(64, 2048);
+
+// Algorithm 2's walk alone: tree_to_tour over one Euclidean MST built
+// outside the loop. BM_DoubleTreeTour above is almost all dense Prim
+// (O(n²)), so the Euler walk and shortcut only show here.
+void BM_TreeToTour(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto pts = random_points(n, 5);
+  const auto mst = mwc::graph::prim_mst(n, [&](std::size_t a, std::size_t b) {
+    return mwc::geom::distance(pts[a], pts[b]);
+  });
+  for (auto _ : state) {
+    auto tour = mwc::tsp::tree_to_tour(mst.edges, 0);
+    benchmark::DoNotOptimize(tour.size());
+  }
+}
+BENCHMARK(BM_TreeToTour)->Range(64, 2048);
 
 void BM_TwoOpt(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -1,5 +1,9 @@
 // Eulerian circuits of small multigraphs (Hierholzer's algorithm).
 //
+// Every routine relabels the touched ids to dense local ids first
+// (graph/local_graph.hpp) and walks flat CSR rows, which keep the edge
+// list's order, so results do not depend on how sparse the ids are.
+//
 // Two places in the paper need Euler tours: Algorithm 2 walks the doubled
 // q-rooted MSF trees, and the proof of Lemma 3 merges per-depot tour groups
 // into one Eulerian circuit before shortcutting. The library exposes the
@@ -31,6 +35,12 @@ std::vector<std::size_t> eulerian_circuit(std::span<const Edge> edges,
 /// the 2-approximation.
 std::vector<std::size_t> doubled_tree_circuit(std::span<const Edge> tree_edges,
                                               std::size_t start);
+
+/// shortcut_closed_walk(doubled_tree_circuit(tree_edges, start)), the
+/// double-tree tour of Algorithm 2, walked over the tree's local ids so
+/// the shortcut needs no id lookup.
+std::vector<std::size_t> doubled_tree_tour(std::span<const Edge> tree_edges,
+                                           std::size_t start);
 
 /// Removes repeated vertices from a closed walk, keeping first occurrences
 /// (the triangle-inequality "shortcut"). The returned sequence lists each

@@ -1,10 +1,8 @@
 #include "graph/forest.hpp"
 
-#include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
+#include <cstdint>
 
-#include "util/assert.hpp"
+#include "graph/local_graph.hpp"
 
 namespace mwc::graph {
 
@@ -14,49 +12,46 @@ RootedTree::RootedTree(std::size_t root, std::span<const Edge> edges)
 
   // Discover nodes by DFS from the root so `nodes_` is deterministic and
   // `valid()` can compare reachable count to edge count.
-  std::unordered_map<std::size_t, std::vector<std::size_t>> adj;
-  for (const Edge& e : edges_) {
-    adj[e.u].push_back(e.v);
-    adj[e.v].push_back(e.u);
-  }
-  std::unordered_set<std::size_t> seen{root_};
-  std::vector<std::size_t> stack{root_};
+  const LocalGraph g = local_graph(edges_, root_);
+  std::vector<char> seen(g.size(), 0);
+  const std::uint32_t r = g.local(root_);
+  seen[r] = 1;
+  nodes_.reserve(g.size());
   nodes_.push_back(root_);
+  std::vector<std::uint32_t> stack{r};
   while (!stack.empty()) {
-    const std::size_t u = stack.back();
+    const std::uint32_t u = stack.back();
     stack.pop_back();
-    const auto it = adj.find(u);
-    if (it == adj.end()) continue;
-    for (std::size_t v : it->second) {
-      if (seen.insert(v).second) {
-        nodes_.push_back(v);
-        stack.push_back(v);
-      }
+    for (std::uint32_t h = g.offset[u]; h < g.offset[u + 1]; ++h) {
+      const std::uint32_t v = g.nbr[h];
+      if (seen[v]) continue;
+      seen[v] = 1;
+      nodes_.push_back(g.ids[v]);
+      stack.push_back(v);
     }
   }
+  reaches_all_ = nodes_.size() == g.size();
 }
 
 std::vector<std::size_t> RootedTree::preorder() const {
-  std::unordered_map<std::size_t, std::vector<std::size_t>> adj;
-  for (const Edge& e : edges_) {
-    adj[e.u].push_back(e.v);
-    adj[e.v].push_back(e.u);
-  }
+  const LocalGraph g = local_graph(edges_, root_);
   std::vector<std::size_t> order;
   order.reserve(nodes_.size());
-  std::unordered_set<std::size_t> seen{root_};
+  std::vector<char> seen(g.size(), 0);
+  const std::uint32_t r = g.local(root_);
+  seen[r] = 1;
   // Explicit stack DFS; children pushed in reverse so they pop in
   // insertion order.
-  std::vector<std::size_t> stack{root_};
+  std::vector<std::uint32_t> stack{r};
   while (!stack.empty()) {
-    const std::size_t u = stack.back();
+    const std::uint32_t u = stack.back();
     stack.pop_back();
-    order.push_back(u);
-    const auto it = adj.find(u);
-    if (it == adj.end()) continue;
-    const auto& nbrs = it->second;
-    for (auto rit = nbrs.rbegin(); rit != nbrs.rend(); ++rit) {
-      if (seen.insert(*rit).second) stack.push_back(*rit);
+    order.push_back(g.ids[u]);
+    for (std::uint32_t h = g.offset[u + 1]; h-- > g.offset[u];) {
+      const std::uint32_t v = g.nbr[h];
+      if (seen[v]) continue;
+      seen[v] = 1;
+      stack.push_back(v);
     }
   }
   return order;
@@ -64,15 +59,10 @@ std::vector<std::size_t> RootedTree::preorder() const {
 
 bool RootedTree::valid() const {
   // A tree on k nodes has k-1 edges and all nodes reachable from the root.
-  if (nodes_.empty()) return false;
-  if (nodes_.size() != edges_.size() + 1) return false;
   // nodes_ was built by reachability, so membership implies connectivity;
-  // verify no edge mentions a node outside the reachable set.
-  std::unordered_set<std::size_t> node_set(nodes_.begin(), nodes_.end());
-  for (const Edge& e : edges_) {
-    if (!node_set.count(e.u) || !node_set.count(e.v)) return false;
-  }
-  return true;
+  // reaches_all_ says no edge mentions a node outside the reachable set.
+  return !nodes_.empty() && nodes_.size() == edges_.size() + 1 &&
+         reaches_all_;
 }
 
 }  // namespace mwc::graph

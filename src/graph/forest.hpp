@@ -20,8 +20,9 @@ class RootedTree {
   RootedTree() = default;
 
   /// Builds from an undirected edge list; `root` must be a node of the
-  /// tree. Nodes are arbitrary indices (not necessarily 0..k); adjacency
-  /// is stored sparsely.
+  /// tree. Nodes are arbitrary indices (not necessarily 0..k); the walks
+  /// relabel them to the tree's own dense local ids (graph/local_graph)
+  /// and allocate O(k) whatever the ids' range.
   RootedTree(std::size_t root, std::span<const Edge> edges);
 
   std::size_t root() const noexcept { return root_; }
@@ -44,6 +45,7 @@ class RootedTree {
   double total_weight_ = 0.0;
   std::vector<Edge> edges_;
   std::vector<std::size_t> nodes_;  // discovery order, root first
+  bool reaches_all_ = false;  // every endpoint is reachable from the root
 };
 
 /// A forest of rooted trees (the output of the q-rooted MSF).

@@ -42,10 +42,18 @@ std::vector<std::size_t> mst_parents(std::size_t n,
                                      std::size_t root,
                                      std::vector<std::size_t>* order) {
   MWC_ASSERT(root < n);
-  std::vector<std::vector<std::size_t>> adj(n);
+  // CSR adjacency; each row keeps edge-list order, as push_back rows did.
+  std::vector<std::size_t> offset(n + 1, 0);
   for (const Edge& e : edges) {
-    adj[e.u].push_back(e.v);
-    adj[e.v].push_back(e.u);
+    ++offset[e.u + 1];
+    ++offset[e.v + 1];
+  }
+  for (std::size_t v = 0; v < n; ++v) offset[v + 1] += offset[v];
+  std::vector<std::size_t> nbr(offset[n]);
+  std::vector<std::size_t> fill(offset.begin(), offset.end() - 1);
+  for (const Edge& e : edges) {
+    nbr[fill[e.u]++] = e.v;
+    nbr[fill[e.v]++] = e.u;
   }
   std::vector<std::size_t> parent(n, kNone);
   std::vector<std::size_t> stack{root};
@@ -58,7 +66,8 @@ std::vector<std::size_t> mst_parents(std::size_t n,
     const std::size_t u = stack.back();
     stack.pop_back();
     if (order != nullptr) order->push_back(u);
-    for (std::size_t v : adj[u]) {
+    for (std::size_t h = offset[u]; h < offset[u + 1]; ++h) {
+      const std::size_t v = nbr[h];
       if (parent[v] == kNone) {
         parent[v] = u;
         stack.push_back(v);

@@ -37,7 +37,8 @@ struct SimResult {
   /// Every depletion event (first per discharge interval).
   std::vector<DeathEvent> deaths;
   /// Executed dispatches, oldest first (only when
-  /// SimOptions::record_dispatches is set; empty otherwise).
+  /// SimOptions::record_dispatches is set; just the first one under
+  /// record_first_dispatch; empty otherwise).
   std::vector<DispatchRecord> dispatch_log;
   /// Smallest residual lifetime observed at any charge instant — the
   /// tightest margin by which the policy stayed feasible.

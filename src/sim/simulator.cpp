@@ -363,7 +363,8 @@ SimResult Simulator::run(charging::Policy& policy) {
       MWC_OBS_HISTOGRAM("sim.residual_margin", dispatch_margin, 0.5, 1.0,
                         2.0, 5.0, 10.0, 20.0, 50.0);
       policy.on_dispatch_executed(view, *dispatch);
-      if (options_.record_dispatches) {
+      if (options_.record_dispatches ||
+          (options_.record_first_dispatch && result.dispatch_log.empty())) {
         result.dispatch_log.push_back(DispatchRecord{
             dispatch_time, std::move(dispatch->sensors), cost.total});
       }

@@ -77,6 +77,10 @@ struct SimOptions {
   /// Record every executed dispatch into SimResult::dispatch_log (for
   /// replay validation and debugging).
   bool record_dispatches = false;
+  /// Record only the first executed dispatch (solve_network serves that
+  /// round and nothing else), so the log stays one sensor set long
+  /// whatever the horizon. Implied by record_dispatches.
+  bool record_first_dispatch = false;
   /// Hard cap on dispatches (guards against a runaway policy); exceeding
   /// it throws DispatchCapError.
   std::size_t max_dispatches = 10'000'000;

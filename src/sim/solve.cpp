@@ -15,7 +15,7 @@ SolveOutcome solve_network(const wsn::Network& network,
                            const wsn::CycleProcess& cycles,
                            SimOptions options, charging::Policy& policy) {
   MWC_OBS_SCOPE("sim.solve_network");
-  options.record_dispatches = true;
+  options.record_first_dispatch = true;
   Simulator simulator(network, cycles, options);
 
   SolveOutcome outcome;

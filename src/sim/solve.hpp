@@ -38,13 +38,15 @@ struct RoundPlan {
 };
 
 struct SolveOutcome {
-  SimResult result;      ///< full-horizon simulation (dispatch log kept)
+  SimResult result;      ///< full-horizon simulation (first dispatch logged)
   RoundPlan first_round; ///< empty when the policy never dispatched
 };
 
 /// Runs one monitoring period of `policy` on the given instance.
-/// `options.record_dispatches` is forced on (the dispatch log is the
-/// product). Deterministic: equal inputs give bit-identical outcomes.
+/// `options.record_first_dispatch` is forced on: the first dispatch is the
+/// product, and the result's dispatch_log holds only it (the full log
+/// when the caller set record_dispatches). Deterministic: equal inputs
+/// give bit-identical outcomes.
 SolveOutcome solve_network(const wsn::Network& network,
                            const wsn::CycleProcess& cycles,
                            SimOptions options, charging::Policy& policy);

@@ -10,8 +10,7 @@
 namespace mwc::tsp {
 
 Tour tree_to_tour(std::span<const graph::Edge> tree_edges, std::size_t root) {
-  const auto walk = graph::doubled_tree_circuit(tree_edges, root);
-  return Tour(graph::shortcut_closed_walk(walk));
+  return Tour(graph::doubled_tree_tour(tree_edges, root));
 }
 
 Tour double_tree_tour(const DistanceView& distances, std::size_t start) {

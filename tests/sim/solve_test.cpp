@@ -59,6 +59,51 @@ TEST(SolveNetwork, FirstRoundMatchesDispatchLog) {
   EXPECT_EQ(covered, expected);
 }
 
+TEST(SolveNetwork, LogsOnlyTheFirstDispatch) {
+  // solve_network keeps one sensor set, not one per round; every other
+  // SimResult field matches a full-log run bit for bit.
+  const wsn::Network network = small_network(5);
+  wsn::CycleModelConfig config;
+  config.tau_min = 1.0;
+  config.tau_max = 4.0;
+  const wsn::CycleModel cycles(network, config, 9);
+  SimOptions options;
+  options.horizon = 400.0;
+  options.slot_length = 50.0;
+
+  charging::MinTotalDistancePolicy served_policy;
+  const SolveOutcome served =
+      solve_network(network, cycles, options, served_policy);
+
+  SimOptions full_log = options;
+  full_log.record_dispatches = true;
+  Simulator simulator(network, cycles, full_log);
+  charging::MinTotalDistancePolicy policy;
+  const SimResult full = simulator.run(policy);
+
+  ASSERT_GT(full.dispatch_log.size(), 10u);
+  ASSERT_EQ(served.result.dispatch_log.size(), 1u);
+  const DispatchRecord& first = served.result.dispatch_log.front();
+  EXPECT_EQ(first.time, full.dispatch_log.front().time);
+  EXPECT_EQ(first.sensors, full.dispatch_log.front().sensors);
+  EXPECT_EQ(first.cost, full.dispatch_log.front().cost);
+
+  const SimResult& r = served.result;
+  EXPECT_EQ(r.service_cost, full.service_cost);
+  EXPECT_EQ(r.per_charger_cost, full.per_charger_cost);
+  EXPECT_EQ(r.num_dispatches, full.num_dispatches);
+  EXPECT_EQ(r.num_sensor_charges, full.num_sensor_charges);
+  EXPECT_EQ(r.dead_sensors, full.dead_sensors);
+  ASSERT_EQ(r.deaths.size(), full.deaths.size());
+  for (std::size_t i = 0; i < r.deaths.size(); ++i) {
+    EXPECT_EQ(r.deaths[i].sensor, full.deaths[i].sensor);
+    EXPECT_EQ(r.deaths[i].time, full.deaths[i].time);
+  }
+  EXPECT_EQ(r.min_residual_at_charge, full.min_residual_at_charge);
+  EXPECT_EQ(r.tour_cache_hits, full.tour_cache_hits);
+  EXPECT_EQ(r.tour_cache_misses, full.tour_cache_misses);
+}
+
 TEST(SolveNetwork, DeterministicAcrossCalls) {
   const wsn::Network network = small_network(7);
   const wsn::CycleModel cycles(network, wsn::CycleModelConfig{}, 5);

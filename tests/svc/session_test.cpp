@@ -61,10 +61,11 @@ class PushCapture {
  public:
   StreamHub::PushFn fn() {
     return [this](std::string line) {
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        lines_.push_back(std::move(line));
-      }
+      // Notify under the lock: a waiter that sees the line can then
+      // destroy this capture only after the pushing worker is done with
+      // the condition variable.
+      std::lock_guard<std::mutex> lock(mutex_);
+      lines_.push_back(std::move(line));
       cv_.notify_all();
       return true;
     };

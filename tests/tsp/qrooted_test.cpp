@@ -287,6 +287,53 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(std::size_t{1}, std::size_t{3},
                                          std::size_t{10})));
 
+// Algorithm 3's nested round sets V_0 ⊆ V_0 ∪ V_1 ⊆ … ⊆ V, each spanned
+// over a dispatch view of the whole network as the simulator costs them
+// (sizes in cold's proportions). Uniform sets match the dense oracle
+// edge for edge; the degenerate families, where ties abound, match its
+// weight (Lemma 1). Every level's tours cover exactly its sensors.
+TEST(QRootedMsf, NestedRoundSetsMatchDenseOracle) {
+  constexpr std::size_t kQ = 5;
+  constexpr std::size_t kM = 600;
+  auto families = mwc::testing::degenerate_point_sets(kQ + kM, 61);
+  families.insert(families.begin(),
+                  {"uniform", mwc::testing::uniform_points(kQ + kM, 61)});
+  for (const auto& family : families) {
+    QRootedInstance network;
+    network.depots.assign(family.points.begin(),
+                          family.points.begin() + kQ);
+    network.sensors.assign(family.points.begin() + kQ, family.points.end());
+    std::vector<std::size_t> arrival(kM);
+    for (std::size_t k = 0; k < kM; ++k) arrival[k] = k;
+    mwc::Rng rng(62);
+    mwc::shuffle(arrival.begin(), arrival.end(), rng);
+
+    for (const std::size_t size : {2, 9, 38, 168, 483, 600}) {
+      std::vector<std::size_t> set(arrival.begin(),
+                                   arrival.begin() + static_cast<long>(size));
+      std::sort(set.begin(), set.end());
+      const auto view = network.distances().dispatch(kQ, set);
+      const auto forest = q_rooted_msf(view, kQ);
+      const auto dense = mwc::testing::dense_q_rooted_msf(view, kQ);
+      if (family.name == "uniform") {
+        EXPECT_EQ(mwc::testing::forest_diff(forest, dense), "")
+            << "level of " << size;
+      } else {
+        EXPECT_NEAR(forest.total_weight, dense.total_weight,
+                    1e-9 * (1.0 + dense.total_weight))
+            << family.name << ", level of " << size;
+      }
+
+      QRootedInstance level;
+      level.depots = network.depots;
+      for (const std::size_t id : set)
+        level.sensors.push_back(network.sensors[id]);
+      EXPECT_TRUE(covers_all_sensors(level, q_rooted_tsp(view, kQ)))
+          << family.name << ", level of " << size;
+    }
+  }
+}
+
 TEST(QRootedMsfAssign, EachSensorAssignedOnce) {
   const auto inst = random_instance(3, 25, 6);
   const auto root_dist = [&](std::size_t r, std::size_t s) {
