@@ -50,6 +50,10 @@ struct SimResult {
   /// round classes) and hits == num_dispatches - (K + 1).
   std::size_t tour_cache_hits = 0;
   std::size_t tour_cache_misses = 0;
+  /// Round builds during this run: one per costed set (a cache miss),
+  /// plus the first round's rebuild when SimOptions::record_first_dispatch
+  /// keeps tours the cache or a capacitated plan could not supply.
+  std::size_t tour_builds = 0;
   /// Wall-clock seconds spent simulating (policy + tour construction).
   double wall_seconds = 0.0;
 

@@ -60,7 +60,8 @@ Simulator::Simulator(const wsn::Network& network,
       cycle_model_(cycles),
       options_(options),
       cache_hits_c_(metrics_.counter("sim.tour_cache_hits")),
-      cache_misses_c_(metrics_.counter("sim.tour_cache_misses")) {
+      cache_misses_c_(metrics_.counter("sim.tour_cache_misses")),
+      builds_c_(metrics_.counter("sim.tour_builds")) {
   MWC_ASSERT(options.horizon > 0.0);
   MWC_ASSERT(cycles.n() == network.n());
 }
@@ -85,34 +86,20 @@ tsp::DistanceView Simulator::dispatch_view(
       .dispatch(network_.q(), sensors);
 }
 
-bool Simulator::wants_candidates() const noexcept {
-  const auto& topts = options_.tour_options;
-  if (topts.candidates != nullptr) return false;  // caller supplied one
-  return topts.improve && !topts.improve_options.exhaustive &&
-         topts.improve_options.candidates == nullptr;
-}
-
-const tsp::CandidateGraph& Simulator::shared_candidates() const {
-  std::call_once(cand_once_, [&] {
-    std::vector<geom::Point> combined;
-    combined.reserve(network_.q() + network_.n());
-    combined.insert(combined.end(), network_.depots().begin(),
-                    network_.depots().end());
-    for (std::size_t i = 0; i < network_.n(); ++i)
-      combined.push_back(network_.sensor(i).position);
-    cand_graph_ = std::make_unique<tsp::CandidateGraph>(
-        tsp::CandidateGraph::build(combined,
-                                   options_.tour_options.candidate_options));
-  });
-  return *cand_graph_;
+tsp::QRootedTours Simulator::build_tours(
+    const std::vector<std::size_t>& sensors) const {
+  builds_c_.add(1);
+  return tsp::q_rooted_tsp(dispatch_view(sensors), network_.q(),
+                           options_.tour_options);
 }
 
 Simulator::TourCost Simulator::compute_cost(
-    const std::vector<std::size_t>& sensors) const {
+    const std::vector<std::size_t>& sensors, tsp::QRootedTours* keep) const {
   MWC_OBS_SCOPE("sim.compute_tour_cost");
   if (options_.trip_capacity > 0.0) {
     // Range-limited vehicles: plan the round as capacity-respecting
     // trips; each depot's trip lengths accumulate on its charger.
+    builds_c_.add(1);
     const auto plan = charging::plan_capacitated_round(
         network_, sensors, options_.trip_capacity, &oracle());
     TourCost cost;
@@ -123,49 +110,30 @@ Simulator::TourCost Simulator::compute_cost(
       for (const auto& trip : depot_trips) depot_cost += trip.length;
       cost.per_depot.push_back(depot_cost);
     }
+    if (keep != nullptr) *keep = build_tours(sensors);
     return cost;
   }
 
+  auto tours = build_tours(sensors);
   const auto distances = dispatch_view(sensors);
-
-  tsp::QRootedOptions topts = options_.tour_options;
-  tsp::CandidateGraph dispatch_graph;
-  if (wants_candidates()) {
-    // Candidate indices must coincide with view-local indices: the shared
-    // full-space graph matches only the identity dispatch (all n sensors
-    // in order); any proper subset gets its own subspace graph, amortized
-    // by the tour-cost memoization (one build per distinct set).
-    bool identity = sensors.size() == network_.n();
-    for (std::size_t j = 0; identity && j < sensors.size(); ++j)
-      identity = sensors[j] == j;
-    if (identity) {
-      topts.candidates = &shared_candidates();
-      MWC_OBS_COUNT("tsp.cand.shared_reuse");
-    } else {
-      std::vector<geom::Point> pts;
-      pts.reserve(network_.q() + sensors.size());
-      pts.insert(pts.end(), network_.depots().begin(),
-                 network_.depots().end());
-      for (std::size_t id : sensors)
-        pts.push_back(network_.sensor(id).position);
-      dispatch_graph =
-          tsp::CandidateGraph::build(pts, topts.candidate_options);
-      topts.candidates = &dispatch_graph;
-    }
-  }
-
-  const auto tours = tsp::q_rooted_tsp(distances, network_.q(), topts);
-
   TourCost cost;
   cost.total = tours.total_length;
   cost.per_depot.reserve(tours.tours.size());
   for (const auto& tour : tours.tours)
     cost.per_depot.push_back(tour.length_with(distances));
+  if (keep != nullptr) *keep = std::move(tours);
   return cost;
 }
 
 Simulator::TourCost Simulator::dispatch_cost(
-    const std::vector<std::size_t>& sensors) {
+    const std::vector<std::size_t>& sensors, tsp::QRootedTours* keep) {
+  // A tour build can outlast many events (an MSF over the whole set), so
+  // the deadline is checked before each one too.
+  const auto check_deadline = [&] {
+    if (deadline_passed(options_.deadline))
+      throw DeadlineError("deadline expired before a tour build over " +
+                          std::to_string(sensors.size()) + " sensors");
+  };
   const std::uint64_t key =
       options_.cache_tour_costs ? set_hash(sensors) : 0;
   if (options_.cache_tour_costs) {
@@ -173,18 +141,20 @@ Simulator::TourCost Simulator::dispatch_cost(
     if (it != cost_cache_.end()) {
       cache_hits_c_.add(1);
       MWC_OBS_COUNT("sim.tour_cache_hits");
+      if (keep != nullptr) {
+        // Only the cost was cached (precost_dispatches); rebuild the
+        // tours once, identical to the build that costed them.
+        check_deadline();
+        *keep = build_tours(sensors);
+      }
       return it->second;
     }
     cache_misses_c_.add(1);
     MWC_OBS_COUNT("sim.tour_cache_misses");
   }
 
-  // A tour build can outlast many events (an MSF over the whole set), so
-  // the deadline is checked before each one too.
-  if (deadline_passed(options_.deadline))
-    throw DeadlineError("deadline expired before a tour build over " +
-                        std::to_string(sensors.size()) + " sensors");
-  TourCost cost = compute_cost(sensors);
+  check_deadline();
+  TourCost cost = compute_cost(sensors, keep);
   if (options_.cache_tour_costs) cost_cache_.emplace(key, cost);
   return cost;
 }
@@ -247,6 +217,8 @@ SimResult Simulator::run(charging::Policy& policy) {
   SimResult result;
   const std::size_t hits_before = cache_hits_c_.value();
   const std::size_t misses_before = cache_misses_c_.value();
+  const std::size_t builds_before = builds_c_.value();
+  first_round_.reset();
   const std::size_t n = network_.n();
   const double T = options_.horizon;
 
@@ -341,7 +313,11 @@ SimResult Simulator::run(charging::Policy& policy) {
         dispatch_time <= next_slot_time) {
       // Execute the dispatch.
       MWC_OBS_SCOPE("sim.dispatch");
-      const auto cost = dispatch_cost(dispatch->sensors);
+      const bool first_round =
+          options_.record_first_dispatch && result.num_dispatches == 0;
+      if (first_round) first_round_.emplace();
+      const auto cost = dispatch_cost(
+          dispatch->sensors, first_round ? &*first_round_ : nullptr);
       result.service_cost += cost.total;
       for (std::size_t l = 0; l < cost.per_depot.size(); ++l)
         result.per_charger_cost[l] += cost.per_depot[l];
@@ -396,6 +372,7 @@ SimResult Simulator::run(charging::Policy& policy) {
   // pre-registry hand-threaded members).
   result.tour_cache_hits = cache_hits_c_.value() - hits_before;
   result.tour_cache_misses = cache_misses_c_.value() - misses_before;
+  result.tour_builds = builds_c_.value() - builds_before;
   obs::Gauge& wall = metrics_.gauge("sim.run_wall_seconds");
   wall.set(timer.elapsed_seconds());
   result.wall_seconds = wall.value();

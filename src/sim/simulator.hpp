@@ -21,15 +21,16 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "charging/schedule.hpp"
 #include "obs/registry.hpp"
 #include "sim/metrics.hpp"
-#include "tsp/candidates.hpp"
 #include "tsp/oracle.hpp"
 #include "tsp/qrooted.hpp"
 #include "util/thread_pool.hpp"
@@ -60,12 +61,10 @@ struct SimOptions {
   double slot_length = 0.0;
   /// How each round's q tours are built (construction heuristic +
   /// optional 2-opt/Or-opt polish, candidate-list acceleration). Defaults
-  /// match the paper. When candidate-mode polish is enabled (`improve`
-  /// without `improve_options.exhaustive`) and no graph is supplied, the
-  /// simulator provides one: the lazily built shared graph over the full
-  /// combined space for full dispatches, or a per-dispatch subspace graph
-  /// otherwise (memoized with the tour cost, so each distinct set builds
-  /// at most once).
+  /// match the paper. Every round is tsp::q_rooted_tsp over the dispatch
+  /// view with these options, so under tsp::candidate_polish() each
+  /// distinct set builds its own graph inside q_rooted_tsp (memoized with
+  /// the tour cost: at most one build per distinct set).
   tsp::QRootedOptions tour_options;
   /// Per-trip travel budget of each charger (metres); > 0 splits every
   /// round's tours via charging::plan_capacitated_round, adding the
@@ -79,7 +78,8 @@ struct SimOptions {
   bool record_dispatches = false;
   /// Record only the first executed dispatch (solve_network serves that
   /// round and nothing else), so the log stays one sensor set long
-  /// whatever the horizon. Implied by record_dispatches.
+  /// whatever the horizon. Implied by record_dispatches. Set explicitly,
+  /// it also keeps that round's tours for take_first_round().
   bool record_first_dispatch = false;
   /// Hard cap on dispatches (guards against a runaway policy); exceeding
   /// it throws DispatchCapError.
@@ -107,7 +107,7 @@ class Simulator {
   /// sets are costed concurrently on `pool` (serially when null) and
   /// inserted into the cache. A subsequent run() then hits the cache on
   /// every dispatch of one of these sets. Costing only reads shared
-  /// state (direct geometry, the call_once-built candidate graph). Returns
+  /// state (direct geometry); each set builds its own candidate graph. Returns
   /// the number of sets actually computed (not already cached). No-op
   /// when cache_tour_costs is off.
   std::size_t precost_dispatches(
@@ -121,6 +121,17 @@ class Simulator {
                              ThreadPool* pool = nullptr);
 
   const SimOptions& options() const noexcept { return options_; }
+
+  /// Moves out the q tours (with their forest and candidate graph) of the
+  /// last run's first dispatch, kept when SimOptions::record_first_dispatch
+  /// is set: the very tours that costed the round when run() built them,
+  /// else one identical rebuild (after a precost hit). Under trip_capacity
+  /// they are the round's Algorithm-2 tours, not its capacitated trips.
+  /// Empty when the run dispatched nothing, the option was off, or the
+  /// tours were already taken.
+  std::optional<tsp::QRootedTours> take_first_round() {
+    return std::exchange(first_round_, std::nullopt);
+  }
 
   /// Shared pairwise-distance oracle over the network's q depots plus all
   /// n sensors (combined index space: depot l at l, sensor i at q + i).
@@ -159,30 +170,33 @@ class Simulator {
     std::vector<double> per_depot;
   };
 
-  TourCost dispatch_cost(const std::vector<std::size_t>& sensors);
+  /// Costs one dispatch set through the cache. A non-null `keep` also
+  /// receives the set's tours: the costing build's on a miss, one
+  /// rebuild on a hit.
+  TourCost dispatch_cost(const std::vector<std::size_t>& sensors,
+                         tsp::QRootedTours* keep = nullptr);
   /// Pure costing of one dispatch set over direct geometry; no cache
-  /// access, safe to call concurrently.
-  TourCost compute_cost(const std::vector<std::size_t>& sensors) const;
+  /// access, safe to call concurrently. A non-null `keep` receives the
+  /// set's Algorithm-2 tours.
+  TourCost compute_cost(const std::vector<std::size_t>& sensors,
+                        tsp::QRootedTours* keep = nullptr) const;
+  /// Algorithm 2 over one dispatch set's view; counts a tour build.
+  tsp::QRootedTours build_tours(const std::vector<std::size_t>& sensors) const;
   static std::uint64_t set_hash(const std::vector<std::size_t>& sensors);
-
-  /// True when tour_options wants a candidate graph but supplies none.
-  bool wants_candidates() const noexcept;
-  /// Lazily built shared k-NN graph over the full combined node space
-  /// (thread-safe via call_once); index-compatible with any identity
-  /// dispatch view, i.e. a dispatch of all n sensors in order.
-  const tsp::CandidateGraph& shared_candidates() const;
 
   const wsn::Network& network_;
   const wsn::CycleProcess& cycle_model_;
   SimOptions options_;
   mutable std::once_flag oracle_once_;
   mutable std::unique_ptr<tsp::DistanceOracle> oracle_;
-  mutable std::once_flag cand_once_;
-  mutable std::unique_ptr<tsp::CandidateGraph> cand_graph_;
   std::unordered_map<std::uint64_t, TourCost> cost_cache_;
+  /// The last run's first-dispatch tours (record_first_dispatch only):
+  /// one set's tours, never one per round.
+  std::optional<tsp::QRootedTours> first_round_;
   obs::Registry metrics_;
   obs::Counter& cache_hits_c_;    ///< metrics_ "sim.tour_cache_hits"
   obs::Counter& cache_misses_c_;  ///< metrics_ "sim.tour_cache_misses"
+  obs::Counter& builds_c_;        ///< metrics_ "sim.tour_builds"
 };
 
 }  // namespace mwc::sim

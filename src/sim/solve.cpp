@@ -20,21 +20,19 @@ SolveOutcome solve_network(const wsn::Network& network,
 
   SolveOutcome outcome;
   outcome.result = simulator.run(policy);
-  if (outcome.result.dispatch_log.empty()) return outcome;
+  auto tours = simulator.take_first_round();
+  if (!tours) return outcome;
 
-  // Rebuild the first round's tours over the simulator's dispatch view —
-  // the identical distance kernel its costing used, so the tours' total
-  // matches the logged round cost bit for bit (when no trip-capacity
-  // splitting rewrites the round).
-  const auto& first = outcome.result.dispatch_log.front();
+  // Serve the tours that costed the round: their total is the logged
+  // round cost bit for bit (when no trip-capacity splitting rewrites the
+  // round).
   RoundPlan& round = outcome.first_round;
-  round.sensors = first.sensors;
+  round.sensors = outcome.result.dispatch_log.front().sensors;
   const auto view = simulator.dispatch_view(round.sensors);
-  auto tours = tsp::q_rooted_tsp(view, network.q(), options.tour_options);
-  round.total_length = tours.total_length;
-  round.tours.reserve(tours.tours.size());
-  round.tour_lengths.reserve(tours.tours.size());
-  for (auto& tour : tours.tours) {
+  round.total_length = tours->total_length;
+  round.tours.reserve(tours->tours.size());
+  round.tour_lengths.reserve(tours->tours.size());
+  for (auto& tour : tours->tours) {
     round.tour_lengths.push_back(tour.length_with(view));
     // Dispatch-view locals -> global combined labels (depot l stays l;
     // local q + j becomes q + sensors[j]).
@@ -47,7 +45,8 @@ SolveOutcome solve_network(const wsn::Network& network,
   }
   // The forest stays round-local; the delta path repairs it in place of
   // re-deriving the MSF.
-  round.forest = std::move(tours.forest);
+  round.forest = std::move(tours->forest);
+  outcome.round_candidates = std::move(tours->candidates);
   return outcome;
 }
 
@@ -233,18 +232,12 @@ ReplanOutcome replan_round(const wsn::Network& network, const RoundPlan& base,
   round.sensors = patch.sensors;
 
   tsp::ImproveOptions improve_opts = options.improve_options;
-  // Mirror Simulator::wants_candidates: the full pipeline polishes in
-  // candidate mode whenever improvement is on and not forced exhaustive
-  // (building a graph on demand if the caller supplied none), so the
-  // repair must too — an exhaustive sweep here would cost more than the
-  // full solve it is meant to undercut.
-  const bool candidate_polish =
-      !improve_opts.exhaustive &&
-      (improve_opts.candidates != nullptr || options.candidates != nullptr ||
-       options.improve);
-  // Any caller-supplied graph covers the *base* space; substitute the
+  // The full pipeline's polish mode, so an exhaustive sweep never costs
+  // more here than the full solve the repair is meant to undercut. Any
+  // caller-supplied graph covers the *base* space; substitute the
   // repaired one (same k regime, new space).
-  improve_opts.candidates = candidate_polish ? &outcome.candidates : nullptr;
+  improve_opts.candidates =
+      tsp::candidate_polish(options) ? &outcome.candidates : nullptr;
 
   // Two candidate hops: improving 2-opt/Or-opt moves triggered by a
   // patch routinely involve an edge one neighbourhood removed from the

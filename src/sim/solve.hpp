@@ -3,10 +3,10 @@
 // The experiment runner (exp::run_trial / run_policies) generates its own
 // topologies; a serving layer receives them. solve_network() runs one
 // monitoring period of `policy` over a caller-supplied network + cycle
-// process and additionally reconstructs the q closed tours of the first
-// executed charging round (through the same dispatch view and Algorithm-2
-// pipeline the simulator costs with), which is what an on-demand client
-// actually drives: the fleet's next rollout plus the horizon-total cost.
+// process and additionally returns the q closed tours of the first
+// executed charging round (the very tours the simulator costed that round
+// with), which is what an on-demand client actually drives: the fleet's
+// next rollout plus the horizon-total cost.
 #pragma once
 
 #include <span>
@@ -40,13 +40,19 @@ struct RoundPlan {
 struct SolveOutcome {
   SimResult result;      ///< full-horizon simulation (first dispatch logged)
   RoundPlan first_round; ///< empty when the policy never dispatched
+  /// The candidate graph the first round's build made for its polish,
+  /// over q depots + first_round.sensors in round order; empty when the
+  /// build made none (see tsp::QRootedTours::candidates).
+  tsp::CandidateGraph round_candidates;
 };
 
 /// Runs one monitoring period of `policy` on the given instance.
 /// `options.record_first_dispatch` is forced on: the first dispatch is the
 /// product, and the result's dispatch_log holds only it (the full log
-/// when the caller set record_dispatches). Deterministic: equal inputs
-/// give bit-identical outcomes.
+/// when the caller set record_dispatches). The first round is the
+/// simulator's own build of that set (Simulator::take_first_round), so
+/// it is built once per solve. Deterministic: equal inputs give
+/// bit-identical outcomes.
 SolveOutcome solve_network(const wsn::Network& network,
                            const wsn::CycleProcess& cycles,
                            SimOptions options, charging::Policy& policy);

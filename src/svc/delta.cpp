@@ -137,7 +137,7 @@ std::uint64_t derived_fingerprint(std::uint64_t base_fingerprint,
 
 std::shared_ptr<const BaseState> make_base_state(
     const Request& request, const ResolvedInstance& instance,
-    const sim::SolveOutcome& outcome, std::shared_ptr<const Plan> plan) {
+    sim::SolveOutcome& outcome, std::shared_ptr<const Plan> plan) {
   const sim::RoundPlan& round = outcome.first_round;
   if (round.tours.empty()) return nullptr;  // nothing to repair
 
@@ -160,8 +160,14 @@ std::shared_ptr<const BaseState> make_base_state(
                              instance.network.depots().end());
   for (const std::size_t id : round.sensors)
     state->round_points.push_back(instance.network.sensor_points()[id]);
-  state->round_candidates = tsp::CandidateGraph::build(
-      state->round_points, instance.sim.tour_options.candidate_options);
+  // The first round's build made this graph when it polished in
+  // candidate mode: the same points and options, so the same graph.
+  state->round_candidates =
+      outcome.round_candidates.empty()
+          ? tsp::CandidateGraph::build(
+                state->round_points,
+                instance.sim.tour_options.candidate_options)
+          : std::move(outcome.round_candidates);
   state->plan = std::move(plan);
   return state;
 }

@@ -82,9 +82,11 @@ std::uint64_t derived_fingerprint(std::uint64_t base_fingerprint,
 
 /// Builds the cacheable solver state after a successful full solve.
 /// Returns null when the policy never dispatched (nothing to repair).
+/// Moves `outcome.round_candidates` into the state when the solve built
+/// one, and builds the round's graph only when it did not.
 std::shared_ptr<const BaseState> make_base_state(
     const Request& request, const ResolvedInstance& instance,
-    const sim::SolveOutcome& outcome, std::shared_ptr<const Plan> plan);
+    sim::SolveOutcome& outcome, std::shared_ptr<const Plan> plan);
 
 /// Serves one v2 delta request: resolve the base state from the cache,
 /// fold + validate the patch, probe the derived-plan cache, and on a

@@ -286,7 +286,7 @@ Response handle_request(const Request& request, PlanCache* cache,
     MWC_OBS_SCOPE("svc.solve");
     const double solve_start_ms = elapsed_ms();
     instance.sim.deadline = deadline;
-    const sim::SolveOutcome outcome = sim::solve_network(
+    sim::SolveOutcome outcome = sim::solve_network(
         instance.network, *instance.cycles, instance.sim, *policy);
     if (stages != nullptr) stages->solve_ms = elapsed_ms() - solve_start_ms;
     auto plan = build_plan(outcome, instance.network.q(), key);

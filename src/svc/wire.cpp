@@ -306,16 +306,33 @@ Request parse_full(const Json& doc, WireVersion version) {
                               request.cycles.values.end())
           : request.cycles.model.tau_min;
   const auto cap = sim::SimOptions{}.max_dispatches;
-  if (std::ceil(request.horizon / tau_floor) > static_cast<double>(cap))
+  const double rounds = std::ceil(request.horizon / tau_floor);
+  if (rounds > static_cast<double>(cap))
     throw WireError("horizon / smallest tau needs more than " +
                     std::to_string(cap) + " dispatch rounds");
   // Every slot boundary redraws all n cycles, so the slot count bounds
   // the simulator's work the same way.
-  if (request.slot_length > 0.0 &&
-      std::ceil(request.horizon / request.slot_length) >
-          static_cast<double>(cap))
+  const double slots = request.slot_length > 0.0
+                           ? std::ceil(request.horizon / request.slot_length)
+                           : 0.0;
+  if (slots > static_cast<double>(cap))
     throw WireError("horizon / slot_length needs more than " +
                     std::to_string(cap) + " slots");
+  // Each round and each slot boundary touches every sensor, so the
+  // product, not either factor, is the work a request can ask for.
+  const double n = static_cast<double>(request.network.inline_points
+                                           ? request.network.sensors.size()
+                                           : request.network.deployment.n);
+  const double work = n * std::max(rounds, slots);
+  if (work > kMaxSensorRounds) {
+    char message[160];
+    std::snprintf(message, sizeof message,
+                  "n x ceil(horizon / %s) = %.6g exceeds the work bound of "
+                  "%.6g sensor-rounds",
+                  rounds >= slots ? "smallest tau" : "slot_length", work,
+                  kMaxSensorRounds);
+    throw WireError(message);
+  }
   return request;
 }
 

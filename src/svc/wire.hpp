@@ -88,6 +88,16 @@ inline constexpr std::size_t kMaxTraceIdLength = 128;
 /// negative values are rejected with bad_request).
 inline constexpr std::size_t kMaxPresetSize = 100'000;
 
+/// Largest n × ⌈horizon / smallest τ⌉ (and n × ⌈horizon / slot_length⌉)
+/// a full request may ask for, in sensor-rounds. The horizon loop ages
+/// all n sensors at every round and slot boundary, so this product bounds
+/// a solve's work whatever the deadline; larger requests are rejected
+/// with bad_request. 2e8 sensor-rounds (n=200, horizon 1e6, τ ≥ 1) ran
+/// for 0.9 s on a 4-vCPU AVX-512 host, so the bound is about a second of
+/// horizon loop there, against ≈1e12 that n and the round cap allowed
+/// apart. The n=100 000 preset at horizon 50 and τ_min 1 asks for 5e6.
+inline constexpr double kMaxSensorRounds = 2.5e8;
+
 /// Every coordinate a request carries (sensors, depots, base, patch
 /// positions) and every field side must be finite and either 0 or of
 /// magnitude in [kMinCoordinate, kMaxCoordinate]; anything else is

@@ -465,6 +465,15 @@ QRootedTours q_rooted_tsp(const DistanceView& distances, std::size_t q,
     ImproveOptions improve_opts = options.improve_options;
     if (improve_opts.candidates == nullptr)
       improve_opts.candidates = options.candidates;
+    if (improve_opts.candidates == nullptr && candidate_polish(options)) {
+      std::vector<geom::Point> points;
+      points.reserve(distances.size());
+      for (std::size_t i = 0; i < distances.size(); ++i)
+        points.push_back(distances.point(i));
+      result.candidates =
+          CandidateGraph::build(points, options.candidate_options);
+      improve_opts.candidates = &result.candidates;
+    }
     // Each tour is polished independently against the (thread-safe)
     // distance kernel, so fanning out over a pool changes nothing but
     // wall-clock; per-tour gains land in a slot vector and flush serially.

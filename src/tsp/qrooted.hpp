@@ -203,6 +203,11 @@ struct QRootedTours {
   /// incremental re-planning can key its dirty-region repair off the
   /// existing forest instead of re-deriving it.
   QRootedForest forest;
+  /// The k-NN graph this call built for candidate-mode polish, over the
+  /// view's node space; empty when the caller supplied a graph or the
+  /// polish does not use one. A caller that needs the round's graph
+  /// later moves it out instead of building it again.
+  CandidateGraph candidates;
 };
 
 enum class TourConstruction {
@@ -223,15 +228,25 @@ struct QRootedOptions {
   /// `candidates` graph below.
   ImproveOptions improve_options;
 
-  /// Shared k-nearest-neighbor graph over the *combined* node space
-  /// (depots + sensors) for candidate-mode polish. Non-owning; null
-  /// polishes exhaustively unless improve_options supplies one.
+  /// k-nearest-neighbor graph over the *combined* node space (depots +
+  /// sensors) for candidate-mode polish. Non-owning. When neither this
+  /// nor improve_options supplies one and candidate_polish() holds,
+  /// q_rooted_tsp builds one over the view's points.
   const CandidateGraph* candidates = nullptr;
 
-  /// Build parameters for graphs a caller builds on these options' behalf
-  /// (the simulator's shared and per-dispatch graphs, the replan repair).
+  /// Build parameters for graphs built on these options' behalf
+  /// (q_rooted_tsp's own graph, the replan repair).
   CandidateOptions candidate_options;
 };
+
+/// The one rule for the polish mode: true when `options` polish in
+/// candidate mode, i.e. improvement is on and not forced exhaustive.
+/// q_rooted_tsp polishes over a candidate graph exactly when this holds
+/// (building one when the caller supplies none), and
+/// sim::replan_round repairs the base round's graph under the same rule.
+inline bool candidate_polish(const QRootedOptions& options) noexcept {
+  return options.improve && !options.improve_options.exhaustive;
+}
 
 /// 2-approximate q-rooted TSP (Algorithm 2). Requires q >= 1.
 QRootedTours q_rooted_tsp(const QRootedInstance& instance,
@@ -240,6 +255,9 @@ QRootedTours q_rooted_tsp(const QRootedInstance& instance,
 /// 2-approximate q-rooted TSP over any distance kernel whose combined
 /// node space has nodes 0..q-1 as depots. Tour node indices are local to
 /// the view. Bit-exact with the instance overload for equal distances.
+/// Under candidate_polish() with no caller-supplied graph, builds a
+/// CandidateGraph over DistanceView::point with `candidate_options` and
+/// returns it in QRootedTours::candidates.
 /// A non-null `polish_pool` runs the per-tour improvement phase across
 /// the pool (one task per tour; results are deterministic because each
 /// tour is polished independently). Callers already running inside a pool

@@ -57,6 +57,7 @@ void expect_identical(const SimResult& got, const SimResult& want,
             bits(want.min_residual_at_charge));
   EXPECT_EQ(got.tour_cache_hits, want.tour_cache_hits);
   EXPECT_EQ(got.tour_cache_misses, want.tour_cache_misses);
+  EXPECT_EQ(got.tour_builds, want.tour_builds);
 }
 
 /// Charges every sensor every `period` (the PeriodicAll baseline with its
@@ -204,6 +205,26 @@ TEST(HorizonLoop, RegistryPoliciesMatchTheScalarLoop) {
       run_all_three(network, cycles, options_of(slot), *policy,
                     policy->name() + " slot " + std::to_string(slot));
     }
+  }
+}
+
+TEST(HorizonLoop, PolishedRoundsMatchTheScalarLoop) {
+  // 300 sensors over 3 depots: tours are past the exhaustive size cut-off,
+  // so both loops polish over candidate graphs that q_rooted_tsp builds
+  // per dispatch set.
+  const auto network = network_of(300, 11);
+  const auto cycles = cycles_of(network, 0.0, 11);
+  SimOptions options = options_of(0.0);
+  options.horizon = 60.0;
+  options.tour_options.improve = true;
+  charging::MinTotalDistancePolicy mtd;
+  charging::GreedyPolicy greedy;
+  EveryoneEvery all(2.0);
+  for (charging::Policy* policy :
+       std::vector<charging::Policy*>{&mtd, &greedy, &all}) {
+    const auto result =
+        run_all_three(network, cycles, options, *policy, policy->name());
+    EXPECT_GT(result.num_dispatches, 1u);
   }
 }
 

@@ -12,6 +12,7 @@
 #include "obs/registry.hpp"
 #include "tsp/construct.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 #include "wsn/deployment.hpp"
 
 namespace mwc::sim {
@@ -350,6 +351,76 @@ TEST(Simulator, PrecostPolicyWarmsCache) {
   EXPECT_EQ(result.num_dispatches, cold.num_dispatches);
 }
 
+TEST(Simulator, FirstRoundIsTheCostingBuildOrOneIdenticalRebuild) {
+  const auto net = test_network(300, 3, 17);
+  const auto cycles = fixed_cycles(net, 2.0, 8.0, 17);
+  SimOptions options;
+  options.horizon = 40.0;
+  options.tour_options.improve = true;
+  options.record_first_dispatch = true;
+
+  // Cold cache: the first round's tours are the build that costed it.
+  Simulator cold(net, cycles, options);
+  charging::MinTotalDistancePolicy cold_policy;
+  const auto r = cold.run(cold_policy);
+  EXPECT_GT(r.tour_cache_misses, 1u);
+  EXPECT_EQ(r.tour_builds, r.tour_cache_misses);
+  auto kept = cold.take_first_round();
+  ASSERT_TRUE(kept.has_value());
+  EXPECT_EQ(kept->total_length, r.dispatch_log.front().cost);
+  EXPECT_EQ(kept->candidates.size(),
+            net.q() + r.dispatch_log.front().sensors.size());
+  EXPECT_FALSE(cold.take_first_round().has_value());  // moved out once
+
+  // Precosted on a pool (each worker polishes over its own graph): the
+  // run builds nothing but the first round's one rebuild, which is
+  // identical to the costing build.
+  Simulator warm(net, cycles, options);
+  charging::MinTotalDistancePolicy warm_policy;
+  ThreadPool pool(4);
+  EXPECT_EQ(warm.precost_policy(warm_policy, &pool), r.tour_cache_misses);
+  const auto w = warm.run(warm_policy);
+  EXPECT_EQ(w.tour_cache_misses, 0u);
+  EXPECT_EQ(w.tour_builds, 1u);
+  EXPECT_EQ(w.service_cost, r.service_cost);
+  const auto rebuilt = warm.take_first_round();
+  ASSERT_TRUE(rebuilt.has_value());
+  EXPECT_EQ(rebuilt->total_length, kept->total_length);
+  ASSERT_EQ(rebuilt->tours.size(), kept->tours.size());
+  for (std::size_t t = 0; t < kept->tours.size(); ++t)
+    EXPECT_EQ(rebuilt->tours[t].order(), kept->tours[t].order());
+
+  // Without record_first_dispatch nothing is kept or rebuilt.
+  SimOptions plain = options;
+  plain.record_first_dispatch = false;
+  Simulator unrecorded(net, cycles, plain);
+  charging::MinTotalDistancePolicy plain_policy;
+  unrecorded.precost_policy(plain_policy, &pool);
+  EXPECT_EQ(unrecorded.run(plain_policy).tour_builds, 0u);
+  EXPECT_FALSE(unrecorded.take_first_round().has_value());
+}
+
+TEST(Simulator, CapacitatedFirstRoundKeepsItsAlgorithm2Tours) {
+  const auto net = test_network(60, 3, 12);
+  const auto cycles = fixed_cycles(net, 1.0, 20.0, 12);
+  SimOptions options;
+  options.horizon = 60.0;
+  options.trip_capacity = 2000.0;
+  options.record_first_dispatch = true;
+  Simulator simulator(net, cycles, options);
+  charging::MinTotalDistancePolicy policy;
+  const auto r = simulator.run(policy);
+  // Costing plans trips; the served round is one extra Algorithm-2 build.
+  EXPECT_EQ(r.tour_builds, r.tour_cache_misses + 1);
+  const auto kept = simulator.take_first_round();
+  ASSERT_TRUE(kept.has_value());
+  const auto& first = r.dispatch_log.front().sensors;
+  const auto tours = tsp::q_rooted_tsp(simulator.dispatch_view(first),
+                                       net.q(), options.tour_options);
+  EXPECT_EQ(kept->total_length, tours.total_length);
+  EXPECT_LE(kept->total_length, r.dispatch_log.front().cost + 1e-6);
+}
+
 TEST(Simulator, PrecostDispatchesDeduplicates) {
   const auto net = test_network(12, 2, 16);
   const auto cycles = fixed_cycles(net, 5.0, 10.0, 16);
@@ -363,10 +434,9 @@ TEST(Simulator, PrecostDispatchesDeduplicates) {
 }
 
 TEST(Simulator, CandidateAccelerationStaysNearExhaustive) {
-  // One full dispatch (exercises the shared full-space candidate graph)
-  // plus one proper subset (exercises the per-dispatch subspace graph);
-  // candidate-mode costs must stay within 1% of the exhaustive-polish
-  // reference.
+  // One full dispatch plus one proper subset, each polished over the
+  // graph q_rooted_tsp builds for its set; candidate-mode costs must stay
+  // within 1% of the exhaustive-polish reference.
   const auto net = test_network(40, 2, 7);
   const auto cycles = fixed_cycles(net, 50.0, 50.0, 7);
   std::vector<std::size_t> all(40);

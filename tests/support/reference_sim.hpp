@@ -3,8 +3,9 @@
 // (std::vector<bool> death flags, one branchy loop per event that records
 // depletions and ages every sensor, dispatch sets copied into the log).
 // Tour costs come from Algorithm 2 over the same direct dispatch view the
-// simulator uses, memoized per set, so a run with the default tour options
-// and unlimited range must reproduce every SimResult field bit for bit.
+// simulator uses, memoized per set, so a run with any tour options (polish
+// included: tsp::q_rooted_tsp applies the one candidate-polish rule) and
+// unlimited range must reproduce every SimResult field bit for bit.
 // Header-only and gtest-free.
 #pragma once
 
@@ -46,15 +47,13 @@ class ReferenceView final : public charging::StateView {
 };
 
 /// Runs `policy` over one monitoring period the way the scalar loop did.
-/// Supports what the oracle needs: uncapacitated rounds and tour options
-/// that want no simulator-built candidate graph. `wall_seconds` stays 0.
+/// Supports what the oracle needs: uncapacitated rounds. `wall_seconds`
+/// stays 0.
 inline sim::SimResult reference_run(const wsn::Network& network,
                                     const wsn::CycleProcess& cycle_model,
                                     const sim::SimOptions& options,
                                     charging::Policy& policy) {
   MWC_ASSERT(options.trip_capacity <= 0.0);
-  MWC_ASSERT(!options.tour_options.improve ||
-             options.tour_options.improve_options.exhaustive);
   constexpr double kTimeTolerance = 1e-9;
 
   struct Cost {
@@ -70,6 +69,7 @@ inline sim::SimResult reference_run(const wsn::Network& network,
       return it->second;
     }
     ++result.tour_cache_misses;
+    ++result.tour_builds;
     const auto view =
         tsp::DistanceView::direct(network.depots(), network.sensor_points())
             .dispatch(network.q(), sensors);

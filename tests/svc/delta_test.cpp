@@ -8,11 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "geom/point.hpp"
+#include "obs/obs.hpp"
+#include "obs/registry.hpp"
 #include "svc/engine.hpp"
 #include "svc/plan_cache.hpp"
 #include "svc/wire.hpp"
@@ -179,6 +182,39 @@ std::uint64_t solve_base(PlanCache& cache, std::size_t n, std::size_t q,
   const Response response = handle_request(request, &cache);
   EXPECT_TRUE(response.ok) << response.message;
   return response.plan->fingerprint;
+}
+
+TEST(HandleDelta, BaseStateKeepsTheFirstRoundsCandidateGraph) {
+  // Uniform τ: one round class of all 300 sensors. With polish on, the
+  // graph the first round's build made moves into the base state; with
+  // polish off the state builds it. Either way one build per solve, and
+  // the graph is the one over q depots + the round's sensors.
+  for (const bool improve : {true, false}) {
+    SCOPED_TRACE(improve ? "polish on" : "polish off");
+    PlanCache cache(4);
+    auto& builds = obs::Registry::global().counter("tsp.cand.rebuilds");
+    const auto before = builds.value();
+    const std::uint64_t base =
+        solve_base(cache, 300, 3, 1000.0, 5, 20.0, improve);
+#if MWC_OBS_ENABLED
+    EXPECT_EQ(builds.value() - before, 1u);
+#else
+    (void)before;
+#endif
+    const auto state = cache.get_state(base);
+    ASSERT_NE(state, nullptr);
+    EXPECT_EQ(state->round.sensors.size(), 300u);
+    const auto fresh = tsp::CandidateGraph::build(
+        state->round_points, state->sim.tour_options.candidate_options);
+    ASSERT_EQ(state->round_candidates.size(), fresh.size());
+    for (std::size_t i = 0; i < fresh.size(); ++i) {
+      const auto got = state->round_candidates.neighbors(i);
+      const auto want = fresh.neighbors(i);
+      EXPECT_TRUE(
+          std::equal(got.begin(), got.end(), want.begin(), want.end()))
+          << "row " << i;
+    }
+  }
 }
 
 TEST(HandleDelta, RepairsAndCachesDerivedPlans) {

@@ -274,6 +274,42 @@ TEST(Server, DeadlineBoundsTheSolveAndServingGoesOn) {
             1u);
 }
 
+TEST(Server, WorkBeyondTheBoundIsRejectedAndServingGoesOn) {
+  ServerOptions options;
+  options.threads = 1;
+  Server server(options);  // default engine: the simulator really runs
+  const auto submit = [&](const std::string& line) {
+    std::promise<Response> answered;
+    server.submit_line(line, [&](const Response& r) {
+      answered.set_value(r);
+    });
+    return answered.get_future().get();
+  };
+  const std::string cycles =
+      R"("cycles":{"model":{"tau_min":1,"tau_max":20}},)";
+  // 10^5 sensors × 10^4 rounds: each factor within its cap, the product
+  // 4× the work bound. No deadline, so only admission can refuse it.
+  const auto start = std::chrono::steady_clock::now();
+  const Response r =
+      submit(R"({"v":"mwc.svc.v1","id":"huge",)"
+             R"("network":{"preset":{"n":100000,"q":5,"seed":3}},)" +
+             cycles + R"("horizon":1e4})");
+  const double waited_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.error, ErrorCode::kBadRequest);
+  EXPECT_NE(r.message.find("work bound"), std::string::npos) << r.message;
+  EXPECT_LT(waited_ms, 1000.0);
+  const Response next =
+      submit(R"({"v":"mwc.svc.v1","id":"ok",)"
+             R"("network":{"preset":{"n":60,"q":3,"seed":5}},)" +
+             cycles + R"("horizon":50})");
+  EXPECT_TRUE(next.ok) << next.message;
+  EXPECT_EQ(next.id, "ok");
+  server.shutdown();
+}
+
 TEST(Server, GeometryAndSlotProbesGetStructuredErrorsAndServingGoesOn) {
   ServerOptions options;
   options.threads = 1;

@@ -283,6 +283,46 @@ TEST(Wire, RoundCountBeyondTheDispatchCapIsRejected) {
                                 R"("tau_max":5}},"horizon":1e7})"));
 }
 
+TEST(Wire, SensorRoundsBeyondTheWorkBoundAreRejected) {
+  const auto request = [](const std::string& n, const std::string& horizon,
+                          const std::string& extra = "") {
+    return R"({"id":"r1","network":{"preset":{"n":)" + n +
+           R"(,"q":5}},"cycles":{"model":{"tau_min":1,"tau_max":20}},)"
+           R"("horizon":)" +
+           horizon + extra + "}";
+  };
+  const auto rejects = [](const std::string& line, const std::string& what) {
+    try {
+      parse_request(line);
+      ADD_FAILURE() << "accepted " << line;
+    } catch (const WireError& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find("work bound of 2.5e+08"), std::string::npos)
+          << message;
+      EXPECT_NE(message.find(what), std::string::npos) << message;
+    }
+  };
+  // Each factor sits inside its own cap; only the product is too large.
+  rejects(request("100000", "5000"), "smallest tau");
+  rejects(request("200", "2e6"), "smallest tau");
+  // Slot boundaries touch every sensor too.
+  rejects(request("100", "1e5", R"(,"slot_length":0.01)"), "slot_length");
+  // Inline networks count their sensors: 30 × 10^7 rounds.
+  std::string sensors, values;
+  for (int i = 1; i <= 30; ++i) {
+    sensors += (i > 1 ? ",[" : "[") + std::to_string(i) + ",1]";
+    values += i > 1 ? ",1" : "1";
+  }
+  rejects(R"({"id":"r1","network":{"sensors":[)" + sensors +
+              R"(],"depots":[[0,0]],"base":[0,0]},"cycles":{"values":[)" +
+              values + R"(]},"horizon":1e7})",
+          "smallest tau");
+  // 200 × 10^6 = 2e8 sensor-rounds is admitted, as is the n = 100 000
+  // preset at horizon 50 (5e6).
+  EXPECT_NO_THROW(parse_request(request("200", "1e6")));
+  EXPECT_NO_THROW(parse_request(request("100000", "50")));
+}
+
 TEST(Wire, CoordinatesAndFieldsAreFiniteAndBounded) {
   const auto inline_net = [](const std::string& sensor,
                              const std::string& depot,

@@ -15,6 +15,8 @@
 #include "../support/dense_msf.hpp"
 #include "../support/point_sets.hpp"
 #include "tsp/exact.hpp"
+#include "tsp/improve.hpp"
+#include "tsp/oracle.hpp"
 #include "util/rng.hpp"
 
 namespace mwc::tsp {
@@ -217,6 +219,57 @@ TEST(QRootedTsp, ImproveNeverHurts) {
     const auto polished = q_rooted_tsp(inst, with_improve);
     EXPECT_LE(polished.total_length, raw.total_length + 1e-9);
     EXPECT_TRUE(covers_all_sensors(inst, polished));
+  }
+}
+
+TEST(QRootedTsp, CandidatePolishBuildsTheGraphACallerWould) {
+  // 300 sensors over 4 depots: every tour is past the exhaustive size
+  // cut-off, so the candidate graph really prunes.
+  const auto inst = random_instance(4, 300, 7, 1000.0);
+  const DistanceOracle oracle(inst.depots, inst.sensors);
+  std::vector<std::size_t> ids;
+  for (std::size_t k = 0; k < inst.m(); k += 3)
+    ids.push_back((k * 7) % inst.m());  // a permuted subset
+  const std::size_t q = inst.q();
+  for (const DistanceView& view :
+       {inst.distances(), oracle.dispatch_view(ids)}) {
+    SCOPED_TRACE(view.cached() ? "oracle view" : "direct view");
+    QRootedOptions options;
+    options.improve = true;
+    ASSERT_TRUE(candidate_polish(options));
+    const auto built = q_rooted_tsp(view, q, options);
+
+    std::vector<geom::Point> points;
+    for (std::size_t i = 0; i < view.size(); ++i)
+      points.push_back(view.point(i));
+    const auto graph =
+        CandidateGraph::build(points, options.candidate_options);
+    QRootedOptions supplied = options;
+    supplied.candidates = &graph;
+    const auto given = q_rooted_tsp(view, q, supplied);
+
+    EXPECT_EQ(built.total_length, given.total_length);
+    ASSERT_EQ(built.tours.size(), given.tours.size());
+    for (std::size_t t = 0; t < built.tours.size(); ++t)
+      EXPECT_EQ(built.tours[t].order(), given.tours[t].order()) << t;
+    EXPECT_EQ(built.candidates.size(), view.size());
+    EXPECT_TRUE(given.candidates.empty());  // the caller's graph was used
+
+    // Forced exhaustive: no graph is built, and each tour gets the full
+    // sweep (the same polish as improve_tour's exhaustive mode by hand).
+    QRootedOptions exhaustive = options;
+    exhaustive.improve_options.exhaustive = true;
+    ASSERT_FALSE(candidate_polish(exhaustive));
+    const auto swept = q_rooted_tsp(view, q, exhaustive);
+    EXPECT_TRUE(swept.candidates.empty());
+    auto by_hand = q_rooted_tsp(view, q);
+    double total = 0.0;
+    for (auto& tour : by_hand.tours) {
+      if (tour.size() >= 4)
+        improve_tour(tour, view, exhaustive.improve_options);
+      total += tour.length_with(view);
+    }
+    EXPECT_NEAR(swept.total_length, total, 1e-9 * total);
   }
 }
 
